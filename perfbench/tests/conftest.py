@@ -1,0 +1,6 @@
+import sys
+import warnings
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+warnings.simplefilter("ignore")
