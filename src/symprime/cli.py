@@ -1,5 +1,5 @@
 """Command-line surface: parse problem files, dispatch to the library, emit
-deterministic JSON reports on stdout (logs and errors go to stderr).
+deterministic JSON reports on stdout (errors go to stderr).
 
 Exit codes: 0 success (mathematical "false" answers included, except that
 contract-verify exits 1 on a failed verification), 2 input errors, 3 budget
@@ -50,10 +50,6 @@ def _emit(payload, budget):
     payload["budgets"] = {"max_reductions": budget.max_reductions,
                           "max_degree": budget.max_degree}
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _shape_key(shape):
-    return str(shape)
 
 
 def cmd_contain(args, budget):
@@ -140,7 +136,7 @@ def cmd_spectrum_slice(args, budget):
             raise InputError("target must look like 'inf,inf;2,2'")
         targets.append(parse_shape_arg(lam_text, e_text))
     slices = theta_slice(p, targets, budget)
-    _emit({"slices": {_shape_key(t): [str(g) for g in ideal.gens]
+    _emit({"slices": {str(t): [str(g) for g in ideal.gens]
                       for t, ideal in slices.items()}}, budget)
     return 0
 

@@ -17,10 +17,6 @@ class BoundInsufficiencyError(RuntimeError):
     """The enumeration box provably failed to capture a minimal element."""
 
 
-def is_inf(part):
-    return part == INF
-
-
 def _check_parts_weights(parts, weights):
     if len(parts) != len(weights):
         raise ValueError("parts and weights must have equal length")
@@ -126,9 +122,6 @@ class GoodPair:
     def fiber(self, beta):
         return tuple(a for a, b in zip(self.domain, self.targets) if b == beta)
 
-    def target_of(self, alpha):
-        return self.targets[self.domain.index(alpha)]
-
 
 def good_pairs(target, source):
     """All (subset, map) pairs certifying that target degenerates from source.
@@ -138,7 +131,10 @@ def good_pairs(target, source):
     infinite target part's weight to be at most the total weight of the
     infinite source parts mapped onto it.
     """
-    out = []
+    return tuple(_iter_good_pairs(target, source))
+
+
+def _iter_good_pairs(target, source):
     src_idx = range(source.r)
     subsets = sorted(
         (tuple(c) for k in range(1, source.r + 1)
@@ -159,13 +155,12 @@ def good_pairs(target, source):
                         ok = False
                         break
             if ok:
-                out.append(GoodPair(domain, targets))
-    return tuple(out)
+                yield GoodPair(domain, targets)
 
 
 def shape_leq(a, b):
     """True iff shape a is a degeneration of shape b (a below b)."""
-    return bool(good_pairs(a, b))
+    return next(_iter_good_pairs(a, b), None) is not None
 
 
 def predecessors(s, finite_cap):

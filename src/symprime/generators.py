@@ -10,7 +10,7 @@ import itertools
 
 from .combinat import good_pairs, shape_sort_key
 from .groebner import Ideal
-from .poly import Poly, mono_degree, poly_divides, var_key, xvar
+from .poly import Poly, canonical_lead, poly_divides, xvar
 from .sprime import SPrimeData, member
 from .theta import projection_ideal, theta
 from .witness import WitnessLayout, _h1, _h2, _h3_factors, build_h
@@ -21,17 +21,7 @@ def sign_normalize(f):
     """Scale by -1 if needed so the canonically-leading coefficient is positive."""
     if f.is_zero() or f.field.char != 0:
         return f
-    ambient = sorted(f.variables(), key=var_key)
-    pos = {v: i for i, v in enumerate(ambient)}
-
-    def key(m):
-        exps = [0] * len(ambient)
-        for v, k in m:
-            exps[pos[v]] = k
-        return (mono_degree(m), tuple(-e for e in reversed(exps)))
-
-    lead = max(f.terms, key=key)
-    return f if f.terms[lead] > 0 else -f
+    return f if f.terms[canonical_lead(f)] > 0 else -f
 
 
 def dedup_sorted(polys):

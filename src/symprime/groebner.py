@@ -257,9 +257,8 @@ def is_unit_ideal(I, budget=None):
 
 def ideal_contains(I, J, budget=None):
     """True iff J is contained in I (every generator reduces to zero)."""
-    order = I.default_order()
     gb = groebner_basis(Ideal(I.gens, ambient=I.ambient + tuple(J.ambient),
-                              field=I.field), order=None, budget=budget)
+                              field=I.field), budget=budget)
     o = gb.default_order()
     return all(normal_form(g, gb.gens, o, budget).is_zero() for g in J.gens)
 

@@ -74,9 +74,6 @@ class Rationals:
     def inv(self, a):
         return Fraction(1) / a
 
-    def coeff_str(self, a):
-        return str(a)
-
     def __repr__(self):
         return "QQ"
 
@@ -107,9 +104,6 @@ class PrimeField:
         if a % self.char == 0:
             raise ZeroDivisionError("inverse of zero in GF(%d)" % self.char)
         return pow(a, -1, self.char)
-
-    def coeff_str(self, a):
-        return str(a)
 
     def __repr__(self):
         return "GF(%d)" % self.char
@@ -166,6 +160,25 @@ def mono_lcm(m1, m2):
     for v, k in m2:
         d[v] = max(d.get(v, 0), k)
     return tuple(sorted(d.items(), key=lambda it: var_key(it[0])))
+
+
+def canonical_key(m):
+    """Sort key of the canonical order: graded reverse lexicographic with
+    significance x1 > x2 > ... > t1 > ... > e1 > ... > z1.
+
+    Restricted to any set of variables grevlex is the same order, so the key
+    needs no ambient variable list and reads the sparse monomial directly.
+    """
+    degree, tail = 0, []
+    for (f, i), k in reversed(m):
+        degree += k
+        tail.append((-_RANK[f], -i, -k))
+    return (degree, tail)
+
+
+def canonical_lead(f):
+    """Leading monomial of a nonzero polynomial in the canonical order."""
+    return max(f.terms, key=canonical_key)
 
 
 def mono_str(m):
@@ -334,15 +347,10 @@ class Poly:
         f = self.field
         out = {}
         for m, c in self.terms.items():
-            d = dict(m)
-            k = d.get(v, 0)
+            k = dict(m).get(v, 0)
             if not k:
                 continue
-            if k == 1:
-                del d[v]
-            else:
-                d[v] = k - 1
-            mono = tuple(sorted(d.items(), key=lambda it: var_key(it[0])))
+            mono = mono_div(m, ((v, 1),))
             c2 = f.mul(c, f.coerce(k))
             if mono in out:
                 c2 = f.add(out[mono], c2)
@@ -386,28 +394,19 @@ class Poly:
     def __str__(self):
         if not self.terms:
             return "0"
-        ambient = sorted(self.variables(), key=var_key)
-        pos = {v: i for i, v in enumerate(ambient)}
-
-        def key(m):
-            exps = [0] * len(ambient)
-            for v, k in m:
-                exps[pos[v]] = k
-            return (mono_degree(m), tuple(-e for e in reversed(exps)))
-
         pieces = []
-        for m in sorted(self.terms, key=key, reverse=True):
+        for m in sorted(self.terms, key=canonical_key, reverse=True):
             c = self.terms[m]
             if self.field.char == 0 and c < 0:
                 sign, mag = "-", -c
             else:
                 sign, mag = "+", c
             if not m:
-                body = self.field.coeff_str(mag)
+                body = str(mag)
             elif mag == 1:
                 body = mono_str(m)
             else:
-                body = self.field.coeff_str(mag) + "*" + mono_str(m)
+                body = str(mag) + "*" + mono_str(m)
             pieces.append((sign, body))
         first_sign, first_body = pieces[0]
         out = ("-" if first_sign == "-" else "") + first_body
@@ -425,21 +424,12 @@ def poly_divides(d, f):
         return f.is_zero()
     if f.is_zero():
         return True
-    ambient = sorted(d.variables() | f.variables(), key=var_key)
-    pos = {v: i for i, v in enumerate(ambient)}
-
-    def key(m):
-        exps = [0] * len(ambient)
-        for v, k in m:
-            exps[pos[v]] = k
-        return (mono_degree(m), tuple(-e for e in reversed(exps)))
-
     field = f.field
-    lm_d = max(d.terms, key=key)
+    lm_d = canonical_lead(d)
     lc_d = d.terms[lm_d]
     rem = f
     while not rem.is_zero():
-        lm = max(rem.terms, key=key)
+        lm = canonical_lead(rem)
         if not mono_divides(lm_d, lm):
             return False
         c = field.mul(rem.terms[lm], field.inv(lc_d))

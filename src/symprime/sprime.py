@@ -19,7 +19,7 @@ from .combinat import INF, WeightedShape, canonicalize
 from .groebner import (DEFAULT_BUDGET, BudgetExceededError, Ideal,
                        groebner_basis, is_unit_ideal, normal_form,
                        radical_member, saturate)
-from .poly import Poly, QQ, evar, mono_degree, tvar, var_key
+from .poly import Poly, QQ, canonical_lead, discriminant, evar, mono_mul, tvar
 
 
 @dataclass(frozen=True)
@@ -45,15 +45,6 @@ class SPrimeData:
 
     def __str__(self):
         return "%s Z=<%s>" % (self.shape, ", ".join(str(g) for g in self.z_ideal.gens))
-
-
-def diff_product(r, field=QQ):
-    """Product of pairwise coordinate differences t_a - t_b, a < b."""
-    out = Poly.const(1, field)
-    for a in range(1, r + 1):
-        for b in range(a + 1, r + 1):
-            out = out * (Poly.variable(tvar(a), field) - Poly.variable(tvar(b), field))
-    return out
 
 
 def make_sprime(parts, weights, gens, assume_irreducible=True):
@@ -87,7 +78,7 @@ def radical_of(p):
 
 @lru_cache(maxsize=None)
 def _saturated(z_ideal, r):
-    return saturate(z_ideal, diff_product(r, z_ideal.field))
+    return saturate(z_ideal, discriminant(range(1, r + 1), "t", z_ideal.field))
 
 
 def saturated_ideal(p):
@@ -160,11 +151,7 @@ def truncated_substitution(f, assign, weights):
             nxt = {}
             for (tm, em), cc in partial.items():
                 for texp, eexp, binom in branches:
-                    ntm = tm
-                    if texp:
-                        d = dict(ntm)
-                        d[tv] = d.get(tv, 0) + texp
-                        ntm = tuple(sorted(d.items(), key=lambda it: var_key(it[0])))
+                    ntm = mono_mul(tm, ((tv, texp),)) if texp else tm
                     nem = em + ((ev, eexp),) if eexp else em
                     key = (ntm, nem)
                     val = fld.mul(cc, fld.coerce(binom))
@@ -175,8 +162,8 @@ def truncated_substitution(f, assign, weights):
                     elif key in nxt:
                         del nxt[key]
             partial = nxt
+        # f's monomials list x-variables in order, so em is already sorted
         for (tm, em), cc in partial.items():
-            em = tuple(sorted(em, key=lambda it: var_key(it[0])))
             bucket = out.setdefault(em, {})
             if tm in bucket:
                 s = fld.add(bucket[tm], cc)
@@ -226,17 +213,7 @@ def member(f, p, budget=None):
 def _scale_normalize(f):
     if f.is_zero():
         return f
-    ambient = sorted(f.variables(), key=var_key)
-    pos = {v: i for i, v in enumerate(ambient)}
-
-    def key(m):
-        exps = [0] * len(ambient)
-        for v, k in m:
-            exps[pos[v]] = k
-        return (mono_degree(m), tuple(-e for e in reversed(exps)))
-
-    lead = max(f.terms, key=key)
-    return f.scale(f.field.inv(f.terms[lead]))
+    return f.scale(f.field.inv(f.terms[canonical_lead(f)]))
 
 
 def member_via_derivatives(f, p, budget=None):

@@ -64,13 +64,15 @@ class WitnessLayout:
                 "N": self.N}
 
 
-def compatible_partitions(gp, layout, source):
+def compatible_partitions(gp, layout, source, budget=None):
     """Trace assignments of the window into the chosen source parts.
 
     Each window index is assigned a source part from the fiber of its block;
     every chosen part receives at least one index, jet sub-blocks meet each
     part in at most its weight, and finite parts are not overfilled.  Yields
     tuples giving the source part position (0-based) per window index.
+    Raises BudgetExceededError when the trace space exceeds the budget's
+    max_reductions.
     """
     allowed = []
     for i in range(1, layout.m + 1):
@@ -80,7 +82,7 @@ def compatible_partitions(gp, layout, source):
     total = 1
     for a in allowed:
         total *= len(a)
-    if total > DEFAULT_BUDGET.max_reductions:
+    if total > (budget or DEFAULT_BUDGET).max_reductions:
         raise BudgetExceededError("trace space of size %d exceeds budget" % total)
     out = []
     for choice in itertools.product(*allowed):
@@ -144,18 +146,11 @@ def _h3_factors(p, layout, gps, u_choices, budget=None):
     for gp in gps:
         u = u_choices[gp]
         exponent = len(gp.domain) * p.shape.e_max()
-        for trace in compatible_partitions(gp, layout, p.shape):
+        for trace in compatible_partitions(gp, layout, p.shape, budget):
             factor = _lift(u, trace, p.shape.r) ** exponent
             if factor not in factors:
                 factors.append(factor)
     return factors
-
-
-def point_in_component(p, gp, point, budget=None):
-    """Does the target point pull back into the projected locus closure?"""
-    gens = projection_ideal(p, gp.domain, budget).gens
-    coords = {("t", a + 1): Fraction(point[b]) for a, b in zip(gp.domain, gp.targets)}
-    return all(g.evaluate(coords) == 0 for g in gens)
 
 
 def build_h(p, q_shape, q_point=None, budget=None):

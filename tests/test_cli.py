@@ -146,6 +146,16 @@ def test_budget_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_witness_respects_budget(capsys, tmp_path):
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"lambda": ["inf", "inf"], "e": [2, 1],
+                                "Z": ["t1+t2-1"]}))
+    argv = ["witness", str(path), "--lambda", "inf", "--e", "3", "--point", "2"]
+    assert main(argv) == 0
+    assert main(argv + ["--max-reductions", "4"]) == 3
+    assert "trace space" in capsys.readouterr().err
+
+
 def test_version_embedded(problem_files, capsys):
     import symprime
     _, report = run(capsys, "psi0", "--lambda", "inf", "--e", "1")

@@ -42,6 +42,13 @@ def test_canonical_printing():
     assert str(parse("-x1 + 1/2")) == "-x1 + 1/2"
     assert str(parse("x1 + t1*e1^2")) == "t1*e1^2 + x1"
     assert str(parse("x1*t1^2 + x2^3")) == "x2^3 + x1*t1^2"
+    assert str(parse("e1*t1 + t1*x1 + x1*e1 + e1^2 + t1^2 + x1^2 + 1")) == (
+        "x1^2 + x1*t1 + t1^2 + x1*e1 + t1*e1 + e1^2 + 1")
+    mixed = ("x1^2*t1 + t1^3 + x3*t2*e1 - 3*t2*e1^2 - 2/3*t1*e2^2"
+             " + 1/2*x2*e3 - e2 + 7")
+    assert str(parse("7 - e2 + 1/2*x2*e3 - 2/3*t1*e2^2 + t1^3 + x3*t2*e1"
+                     " - 3*t2*e1^2 + x1^2*t1")) == mixed
+    assert str(parse(mixed)) == mixed
 
 
 def _random_poly(rng, nvars=3, nterms=4, maxdeg=3, field=QQ):

@@ -7,8 +7,8 @@ import pytest
 
 from symprime.combinat import INF, shape
 from symprime.groebner import BudgetExceededError, Ideal, ideal_equal, radical_member, saturate
-from symprime.poly import parse
-from symprime.sprime import diff_product, make_sprime
+from symprime.poly import discriminant, parse
+from symprime.sprime import make_sprime
 from symprime.spectrum import (RadicalSIdeal, contains_radical, d3_stabilize,
                                intersect_radical, make_radical, theta_slice)
 from symprime.theta import contains
@@ -133,7 +133,7 @@ def test_slice_monotone_under_weight_decrement(prime_pool):
     for p, bigger, smaller in cases:
         hi = theta_slice(p, [bigger])[bigger]
         lo = theta_slice(p, [smaller])[smaller]
-        sat = saturate(hi, diff_product(bigger.r)) if bigger.r > 1 else hi
+        sat = saturate(hi, discriminant(range(1, bigger.r + 1), "t")) if bigger.r > 1 else hi
         for g in lo.gens:
             assert radical_member(g, sat)
 

@@ -3,6 +3,7 @@
 import pytest
 
 from symprime.combinat import INF, good_pairs, shape
+from symprime.groebner import Budget, BudgetExceededError
 from symprime.poly import parse, discriminant
 from symprime.sprime import make_sprime
 from symprime.witness import (NoWitnessError, WitnessLayout, build_h, certify,
@@ -57,6 +58,16 @@ def test_compatible_partition_counts(circle22, free22):
     assert len(parts) == 6
     for trace in parts:
         assert trace.count(0) == 2 and trace.count(1) == 2
+
+
+def test_compatible_partitions_respect_budget():
+    p = make_sprime([INF, INF], [2, 1], [parse("t1+t2-1")])
+    target = shape([INF], [3])
+    gp = good_pairs(target, p.shape)[0]
+    lay = WitnessLayout.build(p.shape, target)
+    assert compatible_partitions(gp, lay, p.shape)
+    with pytest.raises(BudgetExceededError):
+        compatible_partitions(gp, lay, p.shape, budget=Budget(max_reductions=4))
 
 
 def test_compatible_partitions_respect_finite_parts():
