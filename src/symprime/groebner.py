@@ -257,8 +257,10 @@ def is_unit_ideal(I, budget=None):
 
 def ideal_contains(I, J, budget=None):
     """True iff J is contained in I (every generator reduces to zero)."""
-    gb = groebner_basis(Ideal(I.gens, ambient=I.ambient + tuple(J.ambient),
-                              field=I.field), budget=budget)
+    if not set(J.ambient) <= set(I.ambient):
+        # a wider ambient gives another order, so another cached basis
+        I = Ideal(I.gens, ambient=I.ambient + J.ambient, field=I.field)
+    gb = groebner_basis(I, budget=budget)
     o = gb.default_order()
     return all(normal_form(g, gb.gens, o, budget).is_zero() for g in J.gens)
 

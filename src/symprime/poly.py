@@ -54,25 +54,39 @@ def var_name(v):
     return "%s%d" % v
 
 
+def _rational(q):
+    """q as an int when integral, else as the reduced Fraction."""
+    if type(q) is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
+
+
 class Rationals:
-    """Coefficient field of arbitrary-precision rationals."""
+    """Coefficient field of arbitrary-precision rationals.
+
+    Integral values are stored as int and all others as reduced Fraction;
+    the two agree on ==, <, hash and str, so polynomials compare, hash and
+    print the same whichever form a coefficient takes.
+    """
 
     char = 0
 
     def coerce(self, a):
-        return a if isinstance(a, Fraction) else Fraction(a)
+        if type(a) is int:
+            return a
+        return _rational(a if isinstance(a, Fraction) else Fraction(a))
 
     def add(self, a, b):
-        return a + b
+        return _rational(a + b)
 
     def mul(self, a, b):
-        return a * b
+        return _rational(a * b)
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        return Fraction(1) / a
+        return _rational(Fraction(1, a) if type(a) is int else 1 / a)
 
     def __repr__(self):
         return "QQ"
@@ -538,7 +552,7 @@ class _Parser:
     def parse_atom(self):
         tok = self.take()
         if tok[0] == "num":
-            value = Fraction(tok[1])
+            value = tok[1]
             if self.peek()[0] == "/":
                 self.take()
                 den = self.take()

@@ -19,7 +19,7 @@ from .combinat import INF, WeightedShape, canonicalize
 from .groebner import (DEFAULT_BUDGET, BudgetExceededError, Ideal,
                        groebner_basis, is_unit_ideal, normal_form,
                        radical_member, saturate)
-from .poly import Poly, QQ, canonical_lead, discriminant, evar, mono_mul, tvar
+from .poly import Poly, QQ, canonical_lead, discriminant, evar, tvar
 
 
 @dataclass(frozen=True)
@@ -133,6 +133,19 @@ def _x_window(f):
     return tuple(sorted(xs))
 
 
+def _unpack_t(packed, width):
+    """The t-monomial whose t_alpha exponent is bit field alpha - 1 of packed."""
+    mask = (1 << width) - 1
+    tm = []
+    alpha = 1
+    while packed:
+        if packed & mask:
+            tm.append((tvar(alpha), packed & mask))
+        packed >>= width
+        alpha += 1
+    return tuple(tm)
+
+
 def truncated_substitution(f, assign, weights):
     """Coefficients of f(x_i -> t_part(i) + e_i) with e_i^weight truncated.
 
@@ -140,40 +153,46 @@ def truncated_substitution(f, assign, weights):
     in the t-variables.  weights is indexed by part position - 1.
     """
     fld = f.field
+    add, mul = fld.add, fld.mul
+    # a t-monomial is summed as a packed int, one bit field per part, wide
+    # enough for any exponent up to f's degree
+    width = max(f.degree(), 1).bit_length()
+    t_monos = {}
     out = {}
     for mono, c in f.terms.items():
-        partial = {((), ()): c}
+        # x_i^k contributes C(k,j) * t_alpha^(k-j) * e_i^j for each j < weight
+        choices = []
         for v, k in mono:
             alpha = assign[v[1]]
-            w = weights[alpha - 1]
-            branches = [(k - j, j, math.comb(k, j)) for j in range(min(k, w - 1) + 1)]
-            tv, ev = tvar(alpha), evar(v[1])
-            nxt = {}
-            for (tm, em), cc in partial.items():
-                for texp, eexp, binom in branches:
-                    ntm = mono_mul(tm, ((tv, texp),)) if texp else tm
-                    nem = em + ((ev, eexp),) if eexp else em
-                    key = (ntm, nem)
-                    val = fld.mul(cc, fld.coerce(binom))
-                    if key in nxt:
-                        val = fld.add(nxt[key], val)
-                    if val:
-                        nxt[key] = val
-                    elif key in nxt:
-                        del nxt[key]
-            partial = nxt
-        # f's monomials list x-variables in order, so em is already sorted
-        for (tm, em), cc in partial.items():
+            shift = width * (alpha - 1)
+            ev = evar(v[1])
+            choices.append([((k - j) << shift, ((ev, j),) if j else (), math.comb(k, j))
+                            for j in range(min(k, weights[alpha - 1] - 1) + 1)])
+        for combo in itertools.product(*choices):
+            packed = 0
+            em = ()
+            binom = 1
+            for tp, ej, b in combo:
+                packed += tp
+                em += ej
+                binom *= b
+            # f's monomials list x-variables in order, so em is already sorted
+            tm = t_monos.get(packed)
+            if tm is None:
+                tm = t_monos[packed] = _unpack_t(packed, width)
+            val = c if binom == 1 else mul(c, binom)
+            if not val:
+                continue
             bucket = out.setdefault(em, {})
             if tm in bucket:
-                s = fld.add(bucket[tm], cc)
+                s = add(bucket[tm], val)
                 if s:
                     bucket[tm] = s
                 else:
                     del bucket[tm]
             else:
-                bucket[tm] = cc
-    return {em: Poly(fld, tms) for em, tms in out.items() if tms}
+                bucket[tm] = val
+    return {em: Poly(fld, terms) for em, terms in out.items() if terms}
 
 
 def member(f, p, budget=None):

@@ -107,6 +107,26 @@ def test_ideal_intersect_examples():
     assert ideal_equal(ideal_intersect(I, I), I)
 
 
+def test_ideal_contains_reuses_the_basis_cache(monkeypatch):
+    from symprime import groebner
+    calls = []
+    real = groebner._buchberger
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    circle = Ideal([parse("t1^2+t2^2-1")])
+    J = Ideal([parse("(t1^2+t2^2-1)*t1")])
+    for _ in range(3):
+        assert ideal_contains(circle, J)
+    assert len(calls) == 1
+    # a J outside I's ambient still widens it for the test
+    assert not ideal_contains(circle, Ideal([parse("t3")]))
+    assert ideal_contains(Ideal([parse("t1")]), Ideal([parse("t1*t3")]))
+    assert len(calls) == 3
+
+
 def test_variety_contained_examples():
     amb = (tvar(1), tvar(2))
     I = Ideal([parse("t1+t2")])

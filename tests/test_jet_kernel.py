@@ -1,0 +1,83 @@
+"""The jet expansion of membership agrees with the Taylor definition.
+
+truncated_substitution(f, assign, weights) maps e^beta to the coefficient of
+f(x_i -> t_assign(i) + e_i) at e^beta, for beta below the part weights.  By
+Taylor's formula that coefficient is (1/beta!) d^beta f with x_i -> t_assign(i).
+Over GF(p) the divided derivative is taken over QQ on integer lifts of the
+coefficients (it stays integral) and reduced mod p afterwards.
+"""
+
+import itertools
+import math
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from symprime.poly import GF, Poly, QQ, evar, parse, tvar, xvar
+from symprime.sprime import truncated_substitution
+
+
+def taylor_coefficients(f, assign, weights):
+    """{e-monomial: (1/beta!) d^beta f at x_i -> t_assign(i)}, nonzero only."""
+    lifted = Poly.from_terms(f.terms.items(), QQ)
+    xs = sorted(assign)
+    to_t = {xvar(i): Poly.variable(tvar(assign[i]), QQ) for i in xs}
+    out = {}
+    for beta in itertools.product(*(range(weights[assign[i] - 1]) for i in xs)):
+        g = lifted
+        for i, b in zip(xs, beta):
+            for _ in range(b):
+                g = g.derivative(xvar(i))
+        g = g.scale(QQ.inv(math.prod(math.factorial(b) for b in beta)))
+        g = Poly.from_terms(g.substitute(to_t).terms.items(), f.field)
+        if not g.is_zero():
+            out[tuple((evar(i), b) for i, b in zip(xs, beta) if b)] = g
+    return out
+
+
+def assert_no_zeros(coeffs):
+    for g in coeffs.values():
+        assert g.terms and all(g.terms.values())
+
+
+@st.composite
+def cases(draw):
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(32003)]))
+    n = draw(st.integers(1, 3))
+    monomial = st.lists(st.integers(0, 5), min_size=n, max_size=n).map(
+        lambda exps: tuple((xvar(i + 1), k) for i, k in enumerate(exps) if k))
+    if field is QQ:
+        coefficient = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+    else:
+        coefficient = st.integers(-field.char, field.char)
+    f = Poly.from_terms(draw(st.lists(st.tuples(monomial, coefficient), max_size=6)), field)
+    r = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.integers(1, 5), min_size=r, max_size=r))
+    assign = {i + 1: draw(st.integers(1, r)) for i in range(n)}
+    return f, assign, weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases())
+def test_jets_are_divided_derivatives(case):
+    f, assign, weights = case
+    coeffs = truncated_substitution(f, assign, weights)
+    assert coeffs == taylor_coefficients(f, assign, weights)
+    assert_no_zeros(coeffs)
+
+
+def test_binomial_divisible_by_the_characteristic():
+    # (t1 + e1)^2 = t1^2 + 2*t1*e1 + e1^2, and 2 = 0 in GF(2)
+    f = parse("x1^2", GF(2))
+    coeffs = truncated_substitution(f, {1: 1}, [3])
+    assert coeffs == taylor_coefficients(f, {1: 1}, [3])
+    assert set(coeffs) == {(), ((evar(1), 2),)}
+    assert_no_zeros(coeffs)
+    # (t1 + e1)^3 = t1^3 + e1^3 in GF(3), so e1 and e1^2 have no coefficient
+    g = parse("x1^3 + x2", GF(3))
+    coeffs = truncated_substitution(g, {1: 1, 2: 1}, [4])
+    assert coeffs == taylor_coefficients(g, {1: 1, 2: 1}, [4])
+    assert set(coeffs) == {(), ((evar(1), 3),), ((evar(2), 1),)}
+    assert_no_zeros(coeffs)
