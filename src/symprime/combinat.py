@@ -51,9 +51,6 @@ class WeightedShape:
     def r(self):
         return len(self.parts)
 
-    def inf_indices(self):
-        return tuple(i for i, p in enumerate(self.parts) if p == INF)
-
     def finite_sum(self):
         return sum(p for p in self.parts if p != INF)
 
@@ -185,7 +182,7 @@ def predecessors(s, finite_cap):
     return sorted(out, key=shape_sort_key)
 
 
-def _box_candidates(max_parts, finite_cap, weight_cap):
+def box_candidates(max_parts, finite_cap, weight_cap):
     """All canonical shapes with at most max_parts parts, finite sizes at
     most finite_cap, and weights at most weight_cap."""
     alphabet = [(INF, w) for w in range(weight_cap, 0, -1)]
@@ -210,7 +207,7 @@ def psi0(base):
     r = base.r
     finite_cap = 1 + base.finite_sum()
     weight_cap = 1 + base.inf_weight_sum()
-    obstructions = [s for s in _box_candidates(r + 1, finite_cap, weight_cap)
+    obstructions = [s for s in box_candidates(r + 1, finite_cap, weight_cap)
                     if not shape_leq(s, base)]
     minimal = [s for s in obstructions
                if not any(t != s and shape_leq(t, s) for t in obstructions)]

@@ -8,13 +8,12 @@ over the good pairs of every admissible target shape.
 
 import itertools
 
-from .combinat import good_pairs, shape_sort_key
+from .combinat import box_candidates, good_pairs, psi0, shape_leq, shape_sort_key
 from .groebner import Ideal
 from .poly import Poly, canonical_lead, poly_divides, xvar
 from .sprime import SPrimeData, member
 from .theta import projection_ideal, theta
-from .witness import WitnessLayout, _h1, _h2, _h3_factors, build_h
-from .combinat import _box_candidates, shape_leq, psi0
+from .witness import witnesses
 
 
 def sign_normalize(f):
@@ -25,67 +24,56 @@ def sign_normalize(f):
 
 
 def dedup_sorted(polys):
-    seen = []
-    for g in polys:
-        g = sign_normalize(g)
-        if g not in seen:
-            seen.append(g)
-    seen.sort(key=lambda g: (g.degree(), len(g.terms), str(g)))
-    return tuple(seen)
+    unique = dict.fromkeys(sign_normalize(g) for g in polys)
+    return tuple(sorted(unique, key=lambda g: (g.degree(), len(g.terms), str(g))))
+
+
+def _obstruction_witnesses(shape):
+    base = SPrimeData(shape, Ideal((), ambient=()))
+    for mu_d in psi0(shape):
+        yield from witnesses(base, mu_d, {})  # no good pairs against psi0
 
 
 def gens_G(shape):
     """Witnesses against every minimal obstruction shape; these cut out the
     full-locus prime of the given shape up to the equivariant radical."""
-    base = SPrimeData(shape, Ideal((), ambient=()))
-    return dedup_sorted(build_h(base, mu_d) for mu_d in psi0(shape))
+    return dedup_sorted(_obstruction_witnesses(shape))
 
 
 def _phi_targets(p, budget=None):
     """Admissible target shapes: degenerations of p's shape with finite parts
     bounded by the window constant whose degeneration closure is proper."""
     lam = p.shape
-    n = 1 + lam.finite_sum()
-    c = lam.inf_weight_sum()
-    out = []
-    for cand in _box_candidates(lam.r, n, c):
-        if not shape_leq(cand, lam):
-            continue
-        th = theta(p, cand, budget)
-        if th.is_proper():
-            out.append((cand, th))
-    out.sort(key=lambda pair: shape_sort_key(pair[0]))
-    return out
+    cands = [cand for cand in box_candidates(lam.r, 1 + lam.finite_sum(),
+                                             lam.inf_weight_sum())
+             if shape_leq(cand, lam) and theta(p, cand, budget).is_proper()]
+    return sorted(cands, key=shape_sort_key)
+
+
+def _locus_witnesses(p, budget=None):
+    if not p.z_ideal.gens:
+        return
+    bases = {}
+    for target in _phi_targets(p, budget):
+        gps = good_pairs(target, p.shape)
+        for gp in gps:
+            if gp.domain not in bases:
+                bases[gp.domain] = projection_ideal(p, gp.domain, budget).gens
+        yield from witnesses(p, target, {gp: bases[gp.domain] for gp in gps}, budget)
 
 
 def gens_H(p, budget=None):
     """Locus-equation elements: for each admissible target shape, every
     assignment of a projected-ideal generator to each good pair yields one
     element.  Empty when the configuration variety is the whole space."""
-    if not p.z_ideal.gens:
-        return ()
-    out = []
-    for target, _th in _phi_targets(p, budget):
-        gps = good_pairs(target, p.shape)
-        layout = WitnessLayout.build(p.shape, target)
-        skeleton = _h1(layout) * _h2(layout)
-        bases = {}
-        for gp in gps:
-            if gp.domain not in bases:
-                bases[gp.domain] = projection_ideal(p, gp.domain, budget).gens
-        for picks in itertools.product(*(bases[gp.domain] for gp in gps)):
-            u_choices = dict(zip(gps, picks))
-            h = skeleton
-            for factor in _h3_factors(p, layout, gps, u_choices, budget):
-                h = h * factor
-            out.append(h)
-    return dedup_sorted(out)
+    return dedup_sorted(_locus_witnesses(p, budget))
 
 
 def full_gens(p, budget=None):
     """Combined generating set, deduplicated; generates p up to the
     equivariant radical."""
-    return dedup_sorted(gens_G(p.shape) + gens_H(p, budget))
+    return dedup_sorted(itertools.chain(_obstruction_witnesses(p.shape),
+                                        _locus_witnesses(p, budget)))
 
 
 def verify_gens(p, budget=None):

@@ -144,9 +144,6 @@ def spoly(f, g, order):
 
 def normal_form(f, basis, order=None, budget=None):
     """Remainder of f on division by the (preferably reduced) basis."""
-    if isinstance(basis, Ideal):
-        order = order or basis.default_order()
-        basis = groebner_basis(basis, order).gens
     basis = [g for g in basis if not g.is_zero()]
     if f.is_zero() or not basis:
         return f
@@ -154,7 +151,7 @@ def normal_form(f, basis, order=None, budget=None):
         raise ValueError("normal_form requires a monomial order")
     budget = budget or DEFAULT_BUDGET
     field = f.field
-    heads = [(g.leading(order)[0], g.leading(order)[1], g) for g in basis]
+    heads = [g.leading(order) + (g,) for g in basis]
     remainder = Poly.zero(field)
     work = f
     steps = 0
@@ -226,7 +223,7 @@ def _buchberger(gens, order, budget):
     order_idx = sorted(range(len(G)), key=lambda i: order.key(lms[i]))
     minimal = []
     for i in order_idx:
-        if all(not mono_divides(G[j].leading(order)[0], lms[i]) for j in minimal):
+        if all(not mono_divides(lms[j], lms[i]) for j in minimal):
             minimal.append(i)
     basis = [G[i] for i in minimal]
     reduced = []
@@ -279,6 +276,15 @@ def _fresh_z(*objs):
     return zvar(top + 1)
 
 
+def _rabinowitsch(I, f):
+    """(I + (1 - z*f), z) for a z-variable fresh to I and f."""
+    z = _fresh_z(I, f)
+    one = Poly.const(1, I.field)
+    J = Ideal(I.gens + (one - Poly.variable(z, I.field) * f,),
+              ambient=I.ambient + (z,), field=I.field)
+    return J, z
+
+
 def eliminate(I, drop, budget=None):
     """Ideal of polynomials in I avoiding the dropped variables."""
     drop = tuple(sorted(set(drop), key=var_key))
@@ -301,21 +307,14 @@ def saturate(I, f, budget=None):
         raise ValueError("cannot saturate at zero")
     if f.is_constant():
         return I
-    z = _fresh_z(I, f)
-    one = Poly.const(1, I.field)
-    J = Ideal(I.gens + (one - Poly.variable(z, I.field) * f,),
-              ambient=I.ambient + (z,), field=I.field)
+    J, z = _rabinowitsch(I, f)
     result = eliminate(J, (z,), budget)
     return Ideal(result.gens, ambient=I.ambient + tuple(f.variables()), field=I.field)
 
 
 def radical_member(f, I, budget=None):
     """True iff f vanishes on the variety of I (Rabinowitsch trick)."""
-    z = _fresh_z(I, f)
-    one = Poly.const(1, I.field)
-    J = Ideal(I.gens + (one - Poly.variable(z, I.field) * f,),
-              ambient=I.ambient + (z,), field=I.field)
-    return is_unit_ideal(J, budget)
+    return is_unit_ideal(_rabinowitsch(I, f)[0], budget)
 
 
 def ideal_intersect(I, J, budget=None):

@@ -22,14 +22,6 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-def var(family, index):
-    if family not in _RANK:
-        raise ValueError("unknown variable family %r" % (family,))
-    if not isinstance(index, int) or index < 1:
-        raise ValueError("variable index must be a positive integer")
-    return (family, index)
-
-
 def xvar(i):
     return ("x", i)
 

@@ -51,12 +51,6 @@ class WitnessLayout:
             offset += size
         return cls(n, tau, offset, tuple(blocks), tuple(subs), 2 * source.e_max() - 1)
 
-    def block_of(self, i):
-        for beta, idx in enumerate(self.blocks):
-            if i in idx:
-                return beta
-        raise ValueError("index %d outside the window" % i)
-
     def to_json_obj(self):
         return {"n": self.n, "tau": list(self.tau), "m": self.m,
                 "blocks": [list(b) for b in self.blocks],
@@ -74,11 +68,8 @@ def compatible_partitions(gp, layout, source, budget=None):
     Raises BudgetExceededError when the trace space exceeds the budget's
     max_reductions.
     """
-    allowed = []
-    for i in range(1, layout.m + 1):
-        beta = layout.block_of(i)
-        fiber = gp.fiber(beta)
-        allowed.append(fiber)
+    allowed = [gp.fiber(beta) for beta, block in enumerate(layout.blocks)
+               for _ in block]
     total = 1
     for a in allowed:
         total *= len(a)
@@ -140,17 +131,31 @@ def _h2(layout, field=QQ):
     return out
 
 
-def _h3_factors(p, layout, gps, u_choices, budget=None):
-    """Distinct lifted-and-raised locus factors over all good pairs."""
-    factors = []
-    for gp in gps:
-        u = u_choices[gp]
-        exponent = len(gp.domain) * p.shape.e_max()
-        for trace in compatible_partitions(gp, layout, p.shape, budget):
-            factor = _lift(u, trace, p.shape.r) ** exponent
-            if factor not in factors:
-                factors.append(factor)
-    return factors
+def _h3_factors(p, layout, u_choices, budget=None):
+    """Distinct lifted-and-raised locus factors, in order of first
+    appearance, over the good pairs keying u_choices."""
+    return dict.fromkeys(
+        _lift(u, trace, p.shape.r) ** (len(gp.domain) * p.shape.e_max())
+        for gp, u in u_choices.items()
+        for trace in compatible_partitions(gp, layout, p.shape, budget))
+
+
+def witnesses(p, target, locus_gens, budget=None):
+    """Witnesses h1*h2*h3 of p's prime against the target shape.
+
+    locus_gens maps every good pair of the target and p's shape, in
+    good_pairs order, to the locus generators it may lift.  One witness is
+    yielded per choice of one generator for each good pair: h1*h2 is built
+    once and multiplied by the distinct locus factors of that choice.  With
+    no good pairs the single witness is h1*h2.
+    """
+    layout = WitnessLayout.build(p.shape, target)
+    h12 = _h1(layout) * _h2(layout)
+    for picks in itertools.product(*locus_gens.values()):
+        h = h12
+        for factor in _h3_factors(p, layout, dict(zip(locus_gens, picks)), budget):
+            h = h * factor
+        yield h
 
 
 def build_h(p, q_shape, q_point=None, budget=None):
@@ -164,10 +169,8 @@ def build_h(p, q_shape, q_point=None, budget=None):
     point.
     """
     gps = good_pairs(q_shape, p.shape)
-    layout = WitnessLayout.build(p.shape, q_shape)
-    h = _h1(layout) * _h2(layout)
     if not gps:
-        return h
+        return next(witnesses(p, q_shape, {}))
     if q_point is None:
         raise NoWitnessError("a rational target point outside the degeneration "
                              "closure is required when good pairs exist")
@@ -177,22 +180,16 @@ def build_h(p, q_shape, q_point=None, budget=None):
                          % (len(point), q_shape.r))
     if len(set(point)) != len(point):
         raise ValueError("target point must have pairwise distinct coordinates")
-    u_choices = {}
+    picks = {}
     for gp in gps:
-        gens = projection_ideal(p, gp.domain, budget).gens
         coords = {("t", a + 1): point[b] for a, b in zip(gp.domain, gp.targets)}
-        chosen = None
-        for g in gens:
-            if g.evaluate(coords) != 0:
-                chosen = g
-                break
+        chosen = next((g for g in projection_ideal(p, gp.domain, budget).gens
+                       if g.evaluate(coords) != 0), None)
         if chosen is None:
             raise NoWitnessError("point lies in the degeneration closure; "
                                  "containment holds and no witness exists")
-        u_choices[gp] = chosen
-    for factor in _h3_factors(p, layout, gps, u_choices, budget):
-        h = h * factor
-    return h
+        picks[gp] = (chosen,)
+    return next(witnesses(p, q_shape, picks, budget))
 
 
 def certify(h, p, q, budget=None):

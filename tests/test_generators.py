@@ -8,6 +8,7 @@ from symprime.generators import (dedup_sorted, full_gens, gens_G, gens_H,
                                  translate_divides, verify_gens)
 from symprime.poly import discriminant, parse
 from symprime.sprime import make_sprime, member
+from symprime.witness import build_h
 
 
 D3 = sign_normalize(discriminant([1, 2, 3]))
@@ -132,3 +133,39 @@ def test_prune_translate_multiples():
 def test_dedup_sorted():
     a = parse("x1 - x2")
     assert dedup_sorted([a, -a, a]) == (a,)
+
+
+# Failing containments of the acceptance suite where p has configuration
+# equations and good pairs against q: (p, q, point of q's locus off the
+# degeneration closure).
+WITNESS_PAIRS = [
+    ("line1", "allzero2", ("0",)),
+    ("allzero2", "diag2", ("1",)),
+    ("circle22", "allzero3", ("0",)),
+    ("circle22", "free22", ("1", "2")),
+    ("point", "allzero2", ("0",)),
+    ("point", "allzero1", ("0",)),
+    ("line1", "point", ("1", "-1")),
+    ("line0", "free11", ("1", "2")),
+]
+
+
+@pytest.fixture(scope="module")
+def gens_H_of(prime_pool):
+    cache = {}
+
+    def get(key):
+        if key not in cache:
+            cache[key] = gens_H(prime_pool[key])
+        return cache[key]
+
+    return get
+
+
+@pytest.mark.parametrize("p_key,q_key,point", WITNESS_PAIRS)
+def test_build_h_witness_is_a_locus_generator(prime_pool, gens_H_of, p_key, q_key, point):
+    # build_h picks one locus generator per good pair; gens_H takes every
+    # pick over the admissible targets, so it contains build_h's witness
+    p, q = prime_pool[p_key], prime_pool[q_key]
+    h = sign_normalize(build_h(p, q.shape, point))
+    assert h in gens_H_of(p_key)
