@@ -6,8 +6,8 @@ antichain arithmetic on radical stable ideals."""
 __version__ = "0.1.0"
 
 from .poly import GF, ParseError, Poly, QQ, discriminant, parse
-from .groebner import (Budget, BudgetExceededError, Ideal, MonomialOrder,
-                       eliminate, groebner_basis, ideal_equal, ideal_intersect,
+from .groebner import (Budget, BudgetExceededError, Ideal, MonomialOrder, eliminate,
+                       groebner_basis, ideal_equal, ideal_intersect, ideal_member,
                        normal_form, radical_member, saturate, variety_contained)
 from .combinat import (INF, BoundInsufficiencyError, GoodPair, WeightedShape,
                        canonicalize, good_pairs, psi0, refinement_pairs, shape,

@@ -142,13 +142,11 @@ def spoly(f, g, order):
     return f * a - g * b
 
 
-def normal_form(f, basis, order=None, budget=None):
+def normal_form(f, basis, order, budget=None):
     """Remainder of f on division by the (preferably reduced) basis."""
     basis = [g for g in basis if not g.is_zero()]
     if f.is_zero() or not basis:
         return f
-    if order is None:
-        raise ValueError("normal_form requires a monomial order")
     budget = budget or DEFAULT_BUDGET
     field = f.field
     heads = [g.leading(order) + (g,) for g in basis]
@@ -237,7 +235,8 @@ def _buchberger(gens, order, budget):
 
 
 def groebner_basis(I, order=None, budget=None):
-    """Unique reduced Groebner basis of I, returned as an Ideal."""
+    """Unique reduced Groebner basis of I, returned as an Ideal and cached
+    on I per order (grevlex over I's ambient by default)."""
     order = order or I.default_order()
     if order not in I._gb:
         basis = _buchberger(list(I.gens), order, budget or DEFAULT_BUDGET)
@@ -252,14 +251,16 @@ def is_unit_ideal(I, budget=None):
     return len(gb.gens) == 1 and gb.gens[0].is_constant()
 
 
+def ideal_member(f, I, budget=None):
+    """True iff f lies in I (extended to f's variables).  Grevlex over the
+    wider set restricts to I's default order, so I's cached basis serves."""
+    order = MonomialOrder.grevlex(set(I.ambient) | f.variables())
+    return normal_form(f, groebner_basis(I, budget=budget).gens, order, budget).is_zero()
+
+
 def ideal_contains(I, J, budget=None):
     """True iff J is contained in I (every generator reduces to zero)."""
-    if not set(J.ambient) <= set(I.ambient):
-        # a wider ambient gives another order, so another cached basis
-        I = Ideal(I.gens, ambient=I.ambient + J.ambient, field=I.field)
-    gb = groebner_basis(I, budget=budget)
-    o = gb.default_order()
-    return all(normal_form(g, gb.gens, o, budget).is_zero() for g in J.gens)
+    return all(ideal_member(g, I, budget) for g in J.gens)
 
 
 def ideal_equal(I, J, budget=None):
@@ -286,7 +287,8 @@ def _rabinowitsch(I, f):
 
 
 def eliminate(I, drop, budget=None):
-    """Ideal of polynomials in I avoiding the dropped variables."""
+    """Ideal of polynomials in I avoiding the dropped variables; it arrives
+    with its reduced basis cached in its default order."""
     drop = tuple(sorted(set(drop), key=var_key))
     if not drop:
         return I
@@ -298,7 +300,10 @@ def eliminate(I, drop, budget=None):
     gb = groebner_basis(I, order, budget)
     dropped = set(drop)
     gens = [g for g in gb.gens if not (g.variables() & dropped)]
-    return Ideal(gens, ambient=keep, field=I.field)
+    result = Ideal(gens, ambient=keep, field=I.field)
+    # the block order restricts to grevlex on keep (Elimination Theorem)
+    result._gb[result.default_order()] = result
+    return result
 
 
 def saturate(I, f, budget=None):
@@ -308,8 +313,7 @@ def saturate(I, f, budget=None):
     if f.is_constant():
         return I
     J, z = _rabinowitsch(I, f)
-    result = eliminate(J, (z,), budget)
-    return Ideal(result.gens, ambient=I.ambient + tuple(f.variables()), field=I.field)
+    return eliminate(J, (z,), budget)
 
 
 def radical_member(f, I, budget=None):
@@ -325,10 +329,8 @@ def ideal_intersect(I, J, budget=None):
     zp = Poly.variable(z, I.field)
     one = Poly.const(1, I.field)
     gens = [zp * g for g in I.gens] + [(one - zp) * h for h in J.gens]
-    ambient = tuple(sorted(set(I.ambient) | set(J.ambient), key=var_key))
-    K = Ideal(gens, ambient=ambient + (z,), field=I.field)
-    result = eliminate(K, (z,), budget)
-    return Ideal(result.gens, ambient=ambient, field=I.field)
+    K = Ideal(gens, ambient=I.ambient + J.ambient + (z,), field=I.field)
+    return eliminate(K, (z,), budget)
 
 
 def variety_contained(I, J, D, budget=None):

@@ -8,8 +8,9 @@ as a flag rather than as prime data.
 
 from dataclasses import dataclass
 
-from .combinat import INF
-from .groebner import BudgetExceededError, ideal_equal
+from .combinat import INF, canonicalize
+from .groebner import BudgetExceededError, Ideal, ideal_equal
+from .poly import Poly, QQ, tvar
 from .theta import contains, theta
 
 
@@ -80,9 +81,6 @@ def d3_stabilize(p, base_shape, grow_index, cap=20, budget=None):
     (0-based, weight 1) is replaced by the finite sizes 1, 2, ... and the
     slice ideals are compared until two consecutive ones agree.
     """
-    from .combinat import canonicalize
-    from .groebner import Ideal
-    from .poly import Poly, QQ, tvar
     if base_shape.parts[grow_index] != INF or base_shape.weights[grow_index] != 1:
         raise ValueError("the growing part must be infinite with weight 1")
     if sum(1 for q in base_shape.parts if q == INF) < 2:

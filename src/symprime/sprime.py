@@ -17,9 +17,8 @@ from functools import lru_cache
 
 from .combinat import INF, WeightedShape, canonicalize
 from .groebner import (DEFAULT_BUDGET, BudgetExceededError, Ideal,
-                       groebner_basis, is_unit_ideal, normal_form,
-                       radical_member, saturate)
-from .poly import Poly, QQ, canonical_lead, discriminant, evar, tvar
+                       ideal_member, is_unit_ideal, radical_member, saturate)
+from .poly import Poly, QQ, canonical_lead, discriminant, evar, parse, tvar
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,6 @@ class SPrimeData:
 
     @classmethod
     def from_json_obj(cls, obj, assume_irreducible=True):
-        from .poly import parse
         parts = [INF if p == "inf" else int(p) for p in obj["lambda"]]
         weights = [int(w) for w in obj["e"]]
         gens = [parse(s) for s in obj.get("Z", [])]
@@ -209,8 +207,6 @@ def member(f, p, budget=None):
     sat = saturated_ideal(p)
     if is_unit_ideal(sat, budget):
         return True
-    gb = groebner_basis(sat, budget=budget)
-    order = gb.default_order()
     count = p.shape.r ** len(xs)
     if count > budget.max_reductions:
         raise BudgetExceededError("placement space of size %d exceeds budget" % count)
@@ -221,7 +217,7 @@ def member(f, p, budget=None):
             keyp = _scale_normalize(tpoly)
             verdict = verdicts.get(keyp)
             if verdict is None:
-                verdict = (normal_form(keyp, gb.gens, order, budget).is_zero()
+                verdict = (ideal_member(keyp, sat, budget)
                            or radical_member(keyp, sat, budget))
                 verdicts[keyp] = verdict
             if not verdict:

@@ -74,7 +74,7 @@ def theta(p, target, budget=None):
     total = components[0][1]
     for _, comp in components[1:]:
         total = ideal_intersect(total, comp, budget)
-    total = groebner_basis(Ideal(total.gens, ambient=ambient), budget=budget)
+    total = groebner_basis(total, budget=budget)
     return ThetaResult(total, components)
 
 

@@ -44,5 +44,19 @@ def contains_memo():
 
 
 @pytest.fixture()
+def buchberger_calls(monkeypatch):
+    """List that records the arguments of every `groebner._buchberger` call."""
+    from symprime import groebner
+    calls = []
+    real = groebner._buchberger
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    return calls
+
+
+@pytest.fixture()
 def rng():
     return random.Random(20240817)

@@ -52,6 +52,17 @@ def test_easy_direction_inclusion(n, q):
     assert predicted_contained(n, q, 0)
 
 
+def test_verify_contract_reuses_the_elimination_basis(buchberger_calls):
+    # the elimination and the prediction's grevlex basis, nothing more
+    assert verify_contract(2, (2, 2))[0]
+    assert len(buchberger_calls) == 2
+
+
+def test_predicted_contained_reuses_the_elimination_basis(buchberger_calls):
+    assert predicted_contained(2, (2, 2))
+    assert len(buchberger_calls) == 1
+
+
 def test_derivative_criterion_known_cases():
     assert derivative_member(parse("(x1-x2)^3"), (2, 2))
     assert not derivative_member(parse("(x1-x2)^2"), (2, 2))

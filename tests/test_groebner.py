@@ -9,7 +9,7 @@ from symprime.groebner import (Budget, BudgetExceededError, Ideal,
                                ideal_contains, ideal_equal, ideal_intersect,
                                is_unit_ideal, normal_form, radical_member,
                                saturate, spoly, variety_contained)
-from symprime.poly import Poly, QQ, parse, tvar, xvar, evar
+from symprime.poly import GF, Poly, QQ, parse, tvar, xvar, evar
 
 
 def gb_strs(I, order=None):
@@ -107,24 +107,17 @@ def test_ideal_intersect_examples():
     assert ideal_equal(ideal_intersect(I, I), I)
 
 
-def test_ideal_contains_reuses_the_basis_cache(monkeypatch):
-    from symprime import groebner
-    calls = []
-    real = groebner._buchberger
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-    monkeypatch.setattr(groebner, "_buchberger", counted)
+def test_ideal_contains_reuses_the_basis_cache(buchberger_calls):
+    calls = buchberger_calls
     circle = Ideal([parse("t1^2+t2^2-1")])
     J = Ideal([parse("(t1^2+t2^2-1)*t1")])
     for _ in range(3):
         assert ideal_contains(circle, J)
     assert len(calls) == 1
-    # a J outside I's ambient still widens it for the test
+    # a J outside I's ambient reuses I's basis: only the new I(t1) runs
     assert not ideal_contains(circle, Ideal([parse("t3")]))
     assert ideal_contains(Ideal([parse("t1")]), Ideal([parse("t1*t3")]))
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_variety_contained_examples():
@@ -147,19 +140,36 @@ def test_budget_exceeded():
                        budget=Budget(max_reductions=2_000_000, max_degree=8))
 
 
-def _random_ideal(rng, nvars=3, ngens=3, maxdeg=2):
+def _random_ideal(rng, nvars=3, ngens=3, maxdeg=2, field=QQ):
     gens = []
     for _ in range(rng.randint(1, ngens)):
-        g = Poly.zero()
+        g = Poly.zero(field)
         for _ in range(rng.randint(1, 3)):
-            term = Poly.const(rng.randint(-3, 3))
+            term = Poly.const(rng.randint(-3, 3), field)
             for i in range(1, nvars + 1):
-                term = term * Poly.variable(tvar(i)) ** rng.randint(0, maxdeg)
+                term = term * Poly.variable(tvar(i), field) ** rng.randint(0, maxdeg)
             g = g + term
         if not g.is_zero():
             gens.append(g)
     amb = tuple(tvar(i) for i in range(1, nvars + 1))
-    return Ideal(gens, ambient=amb)
+    return Ideal(gens, ambient=amb, field=field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("seed", range(50))
+def test_cached_result_basis_matches_a_fresh_one(seed, field):
+    # eliminate, saturate and ideal_intersect hand back their own basis;
+    # it must be the one Buchberger computes from the bare generators
+    rng = random.Random(900 + seed)
+    I = _random_ideal(rng, field=field)
+    J = _random_ideal(rng, ngens=2, maxdeg=1, field=field)
+    results = [eliminate(I, [tvar(3)]), eliminate(I, [tvar(1), tvar(3)]),
+               ideal_intersect(I, J)]
+    results += [saturate(I, f) for f in _random_ideal(rng, ngens=1, field=field).gens]
+    for R in results:
+        fresh = groebner_basis(Ideal(R.gens, ambient=R.ambient, field=R.field))
+        assert groebner_basis(R).gens == fresh.gens
+        assert str(groebner_basis(R)) == str(fresh)
 
 
 @pytest.mark.parametrize("seed", range(100))

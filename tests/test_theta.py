@@ -8,8 +8,8 @@ import pytest
 from symprime.combinat import GoodPair, INF, shape
 from symprime.groebner import Ideal, ideal_equal, radical_member, saturate
 from symprime.poly import Poly, QQ, discriminant, parse, tvar
-from symprime.sprime import SPrimeData, make_sprime
-from symprime.theta import contains, equal, theta, theta_pair
+from symprime.sprime import SPrimeData, _saturated, make_sprime
+from symprime.theta import contains, equal, projection_ideal, theta, theta_pair
 
 
 def test_theta_pair_examples():
@@ -21,6 +21,25 @@ def test_theta_pair_examples():
     assert ideal_equal(c2, Ideal([parse("2*t1^2-1")]))
     c3 = theta_pair(circ, shape([INF], [2]), GoodPair((0,), (0,)))
     assert c3.gens == ()
+
+
+def test_make_sprime_reuses_the_saturation_basis(buchberger_calls):
+    # the saturation's elimination leaves its basis for is_unit_ideal
+    _saturated.cache_clear()
+    make_sprime([INF, INF], [2, 2], [parse("t1^2+t2^2-1")])
+    assert len(buchberger_calls) == 1
+
+
+def test_projection_ideal_reuses_the_elimination_basis(buchberger_calls):
+    _saturated.cache_clear()
+    p = make_sprime([INF, INF], [2, 2], [parse("t1^2+t2^2-1")])
+    counts = []
+    for _ in range(3):
+        before = len(buchberger_calls)
+        projection_ideal(p, (0,))
+        counts.append(len(buchberger_calls) - before)
+    # one block-order basis of the saturation, then only cache hits
+    assert counts == [1, 0, 0]
 
 
 def test_theta_examples():
