@@ -4,6 +4,13 @@ radical-membership tests: the decision kernel for all variety operations.
 Pair processing uses the Gebauer-Moeller elimination criteria with
 normal-strategy selection.  Every potentially unbounded computation is
 guarded by a resource budget and fails loudly instead of looping.
+
+Order keys are flat int tuples built from a column map each order
+precomputes.  Division works in place on a term dict: each step pops the
+leading term, found by `max` over a memo of keys that lasts one division,
+and adds the matching multiple of the divisor's other terms.
+`_buchberger` keeps the head (lm, lc, g) of every basis element and
+divides S-polynomials and the final interreduction by those heads.
 """
 
 from dataclasses import dataclass
@@ -33,13 +40,34 @@ class MonomialOrder:
     printing.  Block orders compare the first block before the second, so
     putting the variables to eliminate in the first block yields an
     elimination order.
+
+    `key` maps a monomial to one flat int tuple in a single pass: the
+    constructor assigns each variable the column its exponent is added to
+    and the column it is subtracted from.
     """
 
-    __slots__ = ("kind", "blocks")
+    __slots__ = ("kind", "blocks", "_cols", "_width")
 
     def __init__(self, kind, blocks):
         self.kind = kind
         self.blocks = tuple(tuple(b) for b in blocks)
+        # variable -> (column it adds its exponent to, column it subtracts
+        # it from); a variable listed twice counts in its first place only
+        cols, width = {}, 0
+        for block in self.blocks:
+            if kind == "lex":
+                for i, v in enumerate(block):
+                    if v not in cols:
+                        cols[v] = (width + i, -1)
+                width += len(block)
+            else:
+                for i, v in enumerate(block):
+                    if v not in cols:
+                        cols[v] = (width, width + len(block) - i)
+                width += 1 + len(block)
+        self._cols = cols
+        # lex subtracts into one trailing column, which only ever ties
+        self._width = width + (kind == "lex")
 
     @classmethod
     def grevlex(cls, variables):
@@ -57,19 +85,25 @@ class MonomialOrder:
         return tuple(v for b in self.blocks for v in b)
 
     def key(self, mono):
-        exps = {v: k for v, k in mono}
-        parts = []
-        for block in self.blocks:
-            block_exps = [exps.pop(v, 0) for v in block]
-            if self.kind == "lex":
-                parts.append(tuple(block_exps))
-            else:
-                parts.append((sum(block_exps),
-                              tuple(-e for e in reversed(block_exps))))
-        if exps:
+        """Flat int tuple that sorts monomials in this order.
+
+        A lex block contributes its exponents; a graded block contributes
+        its degree, then its negated exponents last variable first.  Blocks
+        have fixed widths, so the flat tuple sorts as the nested per-block
+        tuples would.
+        """
+        out = [0] * self._width
+        cols = self._cols
+        try:
+            for v, k in mono:
+                plus, minus = cols[v]
+                out[plus] += k
+                out[minus] -= k
+        except KeyError:
             raise ValueError("monomial uses variables outside the order: %r"
-                             % sorted(exps, key=var_key))
-        return tuple(parts)
+                             % sorted((v for v, _ in mono if v not in cols),
+                                      key=var_key)) from None
+        return tuple(out)
 
     def __eq__(self, other):
         return (isinstance(other, MonomialOrder)
@@ -126,11 +160,6 @@ class Ideal:
         return "Ideal(%s)" % ", ".join(str(g) for g in self.gens)
 
 
-def _monic(f, order):
-    _, lc = f.leading(order)
-    return f.scale(f.field.inv(lc))
-
-
 def spoly(f, g, order):
     """S-polynomial of f and g with respect to order."""
     field = f.field
@@ -147,91 +176,149 @@ def normal_form(f, basis, order, budget=None):
     basis = [g for g in basis if not g.is_zero()]
     if f.is_zero() or not basis:
         return f
-    budget = budget or DEFAULT_BUDGET
-    field = f.field
     heads = [g.leading(order) + (g,) for g in basis]
-    remainder = Poly.zero(field)
-    work = f
+    key = order.key
+    return Poly(f.field, _divide(dict(f.terms), {m: key(m) for m in f.terms},
+                                 heads, f.field, key, budget or DEFAULT_BUDGET))
+
+
+def _divide(work, keys, heads, field, key, budget):
+    """Divide the term dict `work` in place by heads, a list of (lm, lc, g),
+    and return the remainder's term dict.
+
+    `keys` holds the order key of every monomial in `work` and gains one
+    for each monomial that enters it, so each is scored once per call.
+    Leading terms leave `work` in decreasing order, so the remainder's
+    first term is its leading one.
+    """
+    mul, neg, inv = field.mul, field.neg, field.inv
+    remainder = {}
     steps = 0
-    while not work.is_zero():
-        lm, lc = work.leading(order)
+    while work:
+        lm = max(work, key=keys.__getitem__)
+        lc = work.pop(lm)
         if mono_degree(lm) > budget.max_degree:
             raise BudgetExceededError("degree %d exceeds budget" % mono_degree(lm))
         steps += 1
         if steps > budget.max_reductions:
             raise BudgetExceededError("division step budget exhausted")
-        for hm, hc, g in heads:
-            if mono_divides(hm, lm):
-                c = field.mul(lc, field.inv(hc))
-                work = work - g * Poly(field, {mono_div(lm, hm): c})
+        for head in heads:
+            if mono_divides(head[0], lm):
+                _add_multiple(work, keys, key, neg(mul(lc, inv(head[1]))),
+                              mono_div(lm, head[0]), head, field)
                 break
         else:
-            remainder = remainder + Poly(field, {lm: lc})
-            work = work - Poly(field, {lm: lc})
+            remainder[lm] = lc
     return remainder
 
 
-def _update(G, lms, P, f, order):
-    """Gebauer-Moeller pair update when f joins the basis G."""
-    lmf = f.leading(order)[0]
-    i_new = len(G)
+def _add_multiple(work, keys, key, c, u, head, field):
+    """work += c*u*(g - lm) term by term for head = (lm, lc, g), where lm is
+    g's own key object; monomials new to `keys` are scored there."""
+    add, mul = field.add, field.mul
+    hm, _, g = head
+    for m, cg in g.terms.items():
+        if m is hm:
+            continue
+        m = mono_mul(m, u)
+        if m in work:
+            s = add(work[m], mul(cg, c))
+            if s:
+                work[m] = s
+            else:
+                del work[m]
+        else:
+            work[m] = mul(cg, c)
+            if m not in keys:
+                keys[m] = key(m)
+
+
+def _monic_head(terms, field):
+    """(lm, 1, monic g) from a remainder's term dict (leading term first)."""
+    g = Poly(field, terms).scale(field.inv(next(iter(terms.values()))))
+    lm = next(iter(g.terms))
+    return lm, g.terms[lm], g
+
+
+def _update(heads, P, pairs, head, key):
+    """Gebauer-Moeller pair update when head = (lm, lc, g) joins heads;
+    `pairs` maps each pair to (order key of its lcm, lcm)."""
+    lmf = head[0]
+    i_new = len(heads)
+    with_f = [mono_lcm(h[0], lmf) for h in heads]
     kept = set()
     for (i, j) in P:
-        lij = mono_lcm(lms[i], lms[j])
+        lij = pairs[i, j][1]
         if (not mono_divides(lmf, lij)
-                or lij == mono_lcm(lms[i], lmf)
-                or lij == mono_lcm(lms[j], lmf)):
+                or lij == with_f[i]
+                or lij == with_f[j]):
             kept.add((i, j))
     by_lcm = {}
     for i in range(i_new):
-        by_lcm.setdefault(mono_lcm(lms[i], lmf), []).append(i)
+        by_lcm.setdefault(with_f[i], []).append(i)
+    lcm_keys = {L: key(L) for L in by_lcm}
     minimal = []
-    for L in sorted(by_lcm, key=order.key):
+    for L in sorted(by_lcm, key=lcm_keys.__getitem__):
         if all(not mono_divides(M, L) for M in minimal):
             minimal.append(L)
     for L in minimal:
-        if any(mono_lcm(lms[i], lmf) == mono_mul(lms[i], lmf) for i in by_lcm[L]):
+        if any(L == mono_mul(heads[i][0], lmf) for i in by_lcm[L]):
             continue  # coprime heads: S-pair reduces to zero
-        kept.add((min(by_lcm[L]), i_new))
-    G.append(f)
-    lms.append(lmf)
+        pair = (min(by_lcm[L]), i_new)
+        kept.add(pair)
+        pairs[pair] = (lcm_keys[L], L)
+    heads.append(head)
     return kept
 
 
 def _buchberger(gens, order, budget):
     field = gens[0].field if gens else QQ
-    G, lms, P = [], [], set()
+    key = order.key
+    one = field.coerce(1)
+    minus_one = field.neg(one)
+    heads, P, pairs = [], set(), {}
     for g in gens:
         if not g.is_zero():
-            P = _update(G, lms, P, _monic(g, order), order)
+            lm, lc = g.leading(order)
+            g = g.scale(field.inv(lc))
+            P = _update(heads, P, pairs, (lm, g.terms[lm], g), key)
     reductions = 0
     while P:
-        pair = min(P, key=lambda p: order.key(mono_lcm(lms[p[0]], lms[p[1]])))
+        i, j = pair = min(P, key=pairs.__getitem__)
         P.discard(pair)
         reductions += 1
         if reductions > budget.max_reductions:
             raise BudgetExceededError("pair reduction budget exhausted")
-        r = normal_form(spoly(G[pair[0]], G[pair[1]], order), G, order, budget)
-        if r.is_zero():
+        # the S-polynomial of two monic heads; their leading terms cancel
+        work, keys, lcm = {}, {}, pairs[pair][1]
+        _add_multiple(work, keys, key, one, mono_div(lcm, heads[i][0]), heads[i], field)
+        _add_multiple(work, keys, key, minus_one, mono_div(lcm, heads[j][0]), heads[j], field)
+        r = _divide(work, keys, heads, field, key, budget)
+        if not r:
             continue
-        if r.degree() > budget.max_degree:
-            raise BudgetExceededError("degree %d exceeds budget" % r.degree())
-        P = _update(G, lms, P, _monic(r, order), order)
+        head = _monic_head(r, field)
+        if head[2].degree() > budget.max_degree:
+            raise BudgetExceededError("degree %d exceeds budget" % head[2].degree())
+        P = _update(heads, P, pairs, head, key)
     # minimalize, then fully interreduce
-    order_idx = sorted(range(len(G)), key=lambda i: order.key(lms[i]))
+    lm_keys = [key(h[0]) for h in heads]
     minimal = []
-    for i in order_idx:
-        if all(not mono_divides(lms[j], lms[i]) for j in minimal):
+    for i in sorted(range(len(heads)), key=lm_keys.__getitem__):
+        if all(not mono_divides(heads[j][0], heads[i][0]) for j in minimal):
             minimal.append(i)
-    basis = [G[i] for i in minimal]
+    basis = [heads[i] for i in minimal]
     reduced = []
-    for i, g in enumerate(basis):
+    for i, head in enumerate(basis):
         others = basis[:i] + basis[i + 1:]
-        r = normal_form(g, others, order, budget)
-        if not r.is_zero():
-            reduced.append(_monic(r, order))
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
-    return tuple(reduced)
+        if not others:
+            reduced.append(head)  # already reduced; keeps its term order
+            continue
+        terms = head[2].terms
+        r = _divide(dict(terms), {m: key(m) for m in terms}, others, field, key, budget)
+        if r:
+            reduced.append(_monic_head(r, field))
+    reduced.sort(key=lambda h: key(h[0]))
+    return tuple(h[2] for h in reduced)
 
 
 def groebner_basis(I, order=None, budget=None):

@@ -58,5 +58,19 @@ def buchberger_calls(monkeypatch):
 
 
 @pytest.fixture()
+def leading_calls(monkeypatch):
+    """List that records the arguments of every `Poly.leading` call."""
+    from symprime.poly import Poly
+    calls = []
+    real = Poly.leading
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(Poly, "leading", counted)
+    return calls
+
+
+@pytest.fixture()
 def rng():
     return random.Random(20240817)

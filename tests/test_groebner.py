@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from symprime.groebner import (Budget, BudgetExceededError, Ideal,
-                               MonomialOrder, eliminate, groebner_basis,
+from symprime.contractlab import contract_ideal
+from symprime.groebner import (DEFAULT_BUDGET, Budget, BudgetExceededError,
+                               Ideal, MonomialOrder, eliminate, groebner_basis,
                                ideal_contains, ideal_equal, ideal_intersect,
                                is_unit_ideal, normal_form, radical_member,
                                saturate, spoly, variety_contained)
-from symprime.poly import GF, Poly, QQ, parse, tvar, xvar, evar
+from symprime.poly import (GF, Poly, QQ, evar, mono_degree, mono_div,
+                           mono_divides, parse, tvar, xvar)
 
 
 def gb_strs(I, order=None):
@@ -185,6 +187,80 @@ def test_spolys_reduce_to_zero(seed):
         for j in range(i + 1, len(gens)):
             s = spoly(gens[i], gens[j], order)
             assert normal_form(s, gens, order).is_zero()
+
+
+def test_buchberger_reuses_the_heads_it_holds(leading_calls):
+    # one leading term per input generator; S-pair reductions and the
+    # final interreduction divide by the heads the basis already keeps
+    contract_ideal(3, (3, 3, 3))
+    assert len(leading_calls) == 6
+
+
+def oracle_normal_form(f, basis, order, budget=None):
+    """Division as it was written before it ran in place: rescan the
+    leading term and rebuild the working polynomial at every step."""
+    basis = [g for g in basis if not g.is_zero()]
+    if f.is_zero() or not basis:
+        return f
+    budget = budget or DEFAULT_BUDGET
+    field = f.field
+    heads = [g.leading(order) + (g,) for g in basis]
+    remainder = Poly.zero(field)
+    work = f
+    steps = 0
+    while not work.is_zero():
+        lm, lc = work.leading(order)
+        if mono_degree(lm) > budget.max_degree:
+            raise BudgetExceededError("degree %d exceeds budget" % mono_degree(lm))
+        steps += 1
+        if steps > budget.max_reductions:
+            raise BudgetExceededError("division step budget exhausted")
+        for hm, hc, g in heads:
+            if mono_divides(hm, lm):
+                c = field.mul(lc, field.inv(hc))
+                work = work - g * Poly(field, {mono_div(lm, hm): c})
+                break
+        else:
+            remainder = remainder + Poly(field, {lm: lc})
+            work = work - Poly(field, {lm: lc})
+    return remainder
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BudgetExceededError as exc:
+        return "BudgetExceededError: %s" % exc
+
+
+def _random_poly(rng, field, maxdeg=2):
+    while True:
+        gens = _random_ideal(rng, ngens=1, maxdeg=maxdeg, field=field).gens
+        if gens:
+            return gens[0]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("seed", range(30))
+def test_normal_form_matches_the_rebuilding_oracle(seed, field):
+    rng = random.Random(1300 + seed)
+    amb = (tvar(1), tvar(2), tvar(3))
+    order = [MonomialOrder.grevlex(amb), MonomialOrder.lex(amb),
+             MonomialOrder.block(amb[:1], amb[1:])][seed % 3]
+    basis = groebner_basis(_random_ideal(rng, field=field), order).gens
+    budgets = ([Budget(max_reductions=k) for k in (1, 2, 3, 5, 8)]
+               + [Budget(max_degree=d) for d in (2, 3, 4, 5)])
+    for _ in range(4):
+        f = (_random_poly(rng, field) * _random_poly(rng, field)
+             + _random_poly(rng, field, maxdeg=3))
+        want = oracle_normal_form(f, basis, order)
+        got = normal_form(f, basis, order)
+        assert got == want
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert str(got) == str(want)
+        for budget in budgets:
+            assert (_outcome(normal_form, f, basis, order, budget)
+                    == _outcome(oracle_normal_form, f, basis, order, budget))
 
 
 @pytest.mark.parametrize("seed", range(20))
