@@ -1,9 +1,12 @@
 """Command-line surface: parse problem files, dispatch to the library, emit
 deterministic JSON reports on stdout (errors go to stderr).
 
+The parser is built once, at import.  Each command returns its report;
+`main` emits it and maps the outcome to an exit code.
+
 Exit codes: 0 success (mathematical "false" answers included, except that
-contract-verify exits 1 on a failed verification), 2 input errors, 3 budget
-exhaustion.
+contract-verify exits 1 on a failed verification), 2 input errors (malformed
+problem files included), 3 budget exhaustion.
 """
 
 import argparse
@@ -31,7 +34,7 @@ def _load_prime(path):
         with open(path) as fh:
             obj = json.load(fh)
         return SPrimeData.from_json_obj(obj)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError("cannot load prime data from %s: %s" % (path, exc))
 
 
@@ -44,86 +47,66 @@ def _poly_arg(text):
         raise InputError(str(exc))
 
 
-def _emit(payload, budget):
-    payload = dict(payload)
-    payload["version"] = __version__
-    payload["budgets"] = {"max_reductions": budget.max_reductions,
-                          "max_degree": budget.max_degree}
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _emit(report, budget):
+    report = dict(report, version=__version__,
+                  budgets={"max_reductions": budget.max_reductions,
+                           "max_degree": budget.max_degree})
+    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_contain(args, budget):
-    p = _load_prime(args.p)
-    q = _load_prime(args.q)
-    result = contains(p, q, budget)
-    _emit({"contains": result.contains,
-           "theta": [str(g) for g in result.theta.ideal.gens],
-           "separator": str(result.separator) if result.separator is not None else None},
-          budget)
-    return 0
+    result = contains(_load_prime(args.p), _load_prime(args.q), budget)
+    return {"contains": result.contains,
+            "theta": [str(g) for g in result.theta.ideal.gens],
+            "separator": str(result.separator) if result.separator is not None else None}
 
 
 def cmd_theta(args, budget):
     p = _load_prime(args.p)
     target = parse_shape_arg(args.lam, args.e)
     result = theta(p, target, budget)
-    _emit({"target": target.to_json_obj(),
-           "theta": [str(g) for g in result.ideal.gens],
-           "components": [{"E": [a + 1 for a in gp.domain],
-                           "phi": [b + 1 for b in gp.targets],
-                           "ideal": [str(g) for g in comp.gens]}
-                          for gp, comp in result.components]},
-          budget)
-    return 0
+    return {"target": target.to_json_obj(),
+            "theta": [str(g) for g in result.ideal.gens],
+            "components": [{"E": [a + 1 for a in gp.domain],
+                            "phi": [b + 1 for b in gp.targets],
+                            "ideal": [str(g) for g in comp.gens]}
+                           for gp, comp in result.components]}
 
 
 def cmd_member(args, budget):
     p = _load_prime(args.p)
     f = _poly_arg(args.poly)
-    _emit({"poly": str(f), "member": member(f, p, budget)}, budget)
-    return 0
+    return {"poly": str(f), "member": member(f, p, budget)}
 
 
 def cmd_gens(args, budget):
-    p = _load_prime(args.p)
-    _emit({"generators": [str(g) for g in full_gens(p, budget)]}, budget)
-    return 0
+    return {"generators": [str(g) for g in full_gens(_load_prime(args.p), budget)]}
 
 
 def cmd_psi0(args, budget):
     base = parse_shape_arg(args.lam, args.e)
-    _emit({"base": base.to_json_obj(),
-           "psi0": [s.to_json_obj() for s in psi0(base)]}, budget)
-    return 0
+    return {"base": base.to_json_obj(), "psi0": [s.to_json_obj() for s in psi0(base)]}
 
 
 def cmd_witness(args, budget):
     p = _load_prime(args.p)
     q_shape = parse_shape_arg(args.lam, args.e)
     point = args.point.split(",") if args.point else None
-    try:
-        h = build_h(p, q_shape, q_point=point, budget=budget)
-    except NoWitnessError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    h = build_h(p, q_shape, q_point=point, budget=budget)
     layout = WitnessLayout.build(p.shape, q_shape)
-    _emit({"witness": str(h), "layout": layout.to_json_obj()}, budget)
-    return 0
+    return {"witness": str(h), "layout": layout.to_json_obj()}
 
 
 def cmd_contract_verify(args, budget):
     q = tuple(int(tok) for tok in args.q.split(","))
     verified, basis = verify_contract(args.n, q, args.char, budget)
-    _emit({"n": args.n, "q": list(q), "char": args.char,
-           "verified": verified, "basis": [str(g) for g in basis.gens]}, budget)
-    return 0 if verified else 1
+    return {"n": args.n, "q": list(q), "char": args.char,
+            "verified": verified, "basis": [str(g) for g in basis.gens]}
 
 
 def cmd_radical(args, budget):
     primes = [_load_prime(path) for path in args.paths]
-    rad = make_radical(primes, includes_zero=args.zero, budget=budget)
-    _emit(rad.to_json_obj(), budget)
-    return 0
+    return make_radical(primes, includes_zero=args.zero, budget=budget).to_json_obj()
 
 
 def cmd_spectrum_slice(args, budget):
@@ -136,12 +119,10 @@ def cmd_spectrum_slice(args, budget):
             raise InputError("target must look like 'inf,inf;2,2'")
         targets.append(parse_shape_arg(lam_text, e_text))
     slices = theta_slice(p, targets, budget)
-    _emit({"slices": {str(t): [str(g) for g in ideal.gens]
-                      for t, ideal in slices.items()}}, budget)
-    return 0
+    return {"slices": {str(t): [str(g) for g in ideal.gens] for t, ideal in slices.items()}}
 
 
-def build_parser():
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="symprime",
         description="Decide containments, memberships, and generating sets "
@@ -150,83 +131,72 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-reductions", type=int, default=Budget().max_reductions)
     common.add_argument("--max-degree", type=int, default=Budget().max_degree)
+    prime = argparse.ArgumentParser(add_help=False)
+    prime.add_argument("p")
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--lambda", dest="lam", required=True)
+    shape.add_argument("--e", required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("contain", parents=[common],
+    sp = sub.add_parser("contain", parents=[common, prime],
                         help="decide containment between two primes")
-    sp.add_argument("p")
     sp.add_argument("q")
     sp.set_defaults(func=cmd_contain)
-
-    sp = sub.add_parser("theta", parents=[common],
+    sp = sub.add_parser("theta", parents=[common, prime, shape],
                         help="degeneration-closure ideal at a target shape")
-    sp.add_argument("p")
-    sp.add_argument("--lambda", dest="lam", required=True)
-    sp.add_argument("--e", required=True)
     sp.set_defaults(func=cmd_theta)
-
-    sp = sub.add_parser("member", parents=[common],
+    sp = sub.add_parser("member", parents=[common, prime],
                         help="membership of a polynomial in a prime")
-    sp.add_argument("p")
     sp.add_argument("--poly", required=True,
                     help="polynomial text, or - to read stdin")
     sp.set_defaults(func=cmd_member)
-
-    sp = sub.add_parser("gens", parents=[common],
+    sp = sub.add_parser("gens", parents=[common, prime],
                         help="finite generating set up to the stable radical")
-    sp.add_argument("p")
     sp.set_defaults(func=cmd_gens)
-
-    sp = sub.add_parser("psi0", parents=[common],
+    sp = sub.add_parser("psi0", parents=[common, shape],
                         help="minimal obstruction shapes of a weighted shape")
-    sp.add_argument("--lambda", dest="lam", required=True)
-    sp.add_argument("--e", required=True)
     sp.set_defaults(func=cmd_psi0)
-
-    sp = sub.add_parser("witness", parents=[common],
+    sp = sub.add_parser("witness", parents=[common, prime, shape],
                         help="separating polynomial against a target shape")
-    sp.add_argument("p")
-    sp.add_argument("--lambda", dest="lam", required=True)
-    sp.add_argument("--e", required=True)
     sp.add_argument("--point", default=None,
                     help="comma-separated rational target point")
     sp.set_defaults(func=cmd_witness)
-
     sp = sub.add_parser("contract-verify", parents=[common],
                         help="verify the jet-ideal contraction at small size")
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("-q", required=True, help="comma-separated orders")
     sp.add_argument("--char", type=int, default=0)
     sp.set_defaults(func=cmd_contract_verify)
-
     sp = sub.add_parser("radical", parents=[common],
                         help="antichain form of an intersection of primes")
     sp.add_argument("paths", nargs="*")
     sp.add_argument("--zero", action="store_true",
                     help="include the zero ideal (absorbs everything)")
     sp.set_defaults(func=cmd_radical)
-
-    sp = sub.add_parser("spectrum-slice", parents=[common],
+    sp = sub.add_parser("spectrum-slice", parents=[common, prime],
                         help="degeneration-closure slices at target shapes")
-    sp.add_argument("p")
     sp.add_argument("--target", action="append", required=True,
                     help="target shape as 'inf,inf;2,2' (repeatable)")
     sp.set_defaults(func=cmd_spectrum_slice)
     return parser
 
 
+PARSER = _build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     budget = Budget(max_reductions=args.max_reductions, max_degree=args.max_degree)
     try:
-        return args.func(args, budget)
-    except (InputError, ParseError, ValueError) as exc:
+        report = args.func(args, budget)
+    except (InputError, ParseError, ValueError, NoWitnessError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except BudgetExceededError as exc:
         print("budget exhausted: %s" % exc, file=sys.stderr)
         return 3
+    _emit(report, budget)
+    return 0 if report.get("verified", True) else 1
 
 
 if __name__ == "__main__":

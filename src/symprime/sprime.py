@@ -102,23 +102,15 @@ def q_ideal_truncated(p, rho):
     return Ideal(gens, ambient=tuple(ambient))
 
 
-def assignments(indices, shape, surjective_only=False):
+def assignments(indices, shape):
     """All placements of the window indices into parts, respecting finite
     part capacities.  Yields dicts index -> part position (1-based)."""
     indices = tuple(indices)
     r = shape.r
     caps = [p if p != INF else None for p in shape.parts]
     for choice in itertools.product(range(1, r + 1), repeat=len(indices)):
-        ok = True
-        for alpha in range(1, r + 1):
-            cap = caps[alpha - 1]
-            if cap is not None and sum(1 for c in choice if c == alpha) > cap:
-                ok = False
-                break
-            if surjective_only and alpha not in choice:
-                ok = False
-                break
-        if ok:
+        if all(cap is None or choice.count(alpha) <= cap
+               for alpha, cap in enumerate(caps, 1)):
             yield dict(zip(indices, choice))
 
 

@@ -84,9 +84,10 @@ def test_witness_command(problem_files, capsys):
     assert report["layout"]["m"] == 3
     assert report["witness"].startswith("x1^2*x2")
     # good pairs exist but no point given -> input error
-    code, _ = run(capsys, "witness", problem_files["circle"],
-                  "--lambda", "inf", "--e", "3")
-    assert code == 2
+    code = main(["witness", problem_files["circle"], "--lambda", "inf", "--e", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: a rational target point")
     code, report = run(capsys, "witness", problem_files["circle"],
                        "--lambda", "inf", "--e", "3", "--point", "1")
     assert code == 0 and "x1^2" in report["witness"]
@@ -138,6 +139,52 @@ def test_input_error_exit_code(problem_files, capsys, tmp_path):
     assert main(["contain", str(bad), problem_files["origin2"]]) == 2
     assert main(["member", problem_files["origin2"], "--poly", "2x1"]) == 2
     capsys.readouterr()
+    # valid JSON of the wrong structure is an input error too, not a traceback
+    for i, obj in enumerate([[1, 2], {"lambda": 5, "e": [1]},
+                             {"lambda": ["inf"], "e": [1], "Z": [5]}]):
+        path = tmp_path / ("wrong%d.json" % i)
+        path.write_text(json.dumps(obj))
+        assert main(["contain", str(path), problem_files["origin2"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot load prime data from %s: " % path)
+
+
+def test_failed_verification_exit_code(capsys, monkeypatch):
+    import symprime.cli
+    real = symprime.cli.verify_contract
+    monkeypatch.setattr(symprime.cli, "verify_contract",
+                        lambda n, q, char, budget: (False, real(n, q, char, budget)[1]))
+    code, report = run(capsys, "contract-verify", "-n", "2", "-q", "2,2")
+    assert code == 1 and report["verified"] is False
+
+
+def test_parser_is_built_once(problem_files, capsys, monkeypatch):
+    import argparse
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["psi0", "--lambda", "inf", "--e", "1"]) == 0
+    assert main(["gens", problem_files["origin2"]]) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+def test_shared_parser_keeps_no_state(problem_files, capsys):
+    _, report = run(capsys, "radical", "--zero", problem_files["origin2"])
+    assert report["includes_zero"] is True
+    _, report = run(capsys, "radical", problem_files["origin2"])
+    assert report["includes_zero"] is False and len(report["primes"]) == 1
+    _, report = run(capsys, "spectrum-slice", problem_files["circle"],
+                    "--target", "inf;3", "--target", "inf,inf;2,2")
+    assert len(report["slices"]) == 2
+    _, report = run(capsys, "spectrum-slice", problem_files["circle"], "--target", "inf;3")
+    assert list(report["slices"]) == ["(inf);(3)"]
 
 
 def test_budget_exit_code(capsys):
