@@ -28,16 +28,16 @@ def dedup_sorted(polys):
     return tuple(sorted(unique, key=lambda g: (g.degree(), len(g.terms), str(g))))
 
 
-def _obstruction_witnesses(shape):
+def _obstruction_witnesses(shape, budget=None):
     base = SPrimeData(shape, Ideal((), ambient=()))
     for mu_d in psi0(shape):
-        yield from witnesses(base, mu_d, {})  # no good pairs against psi0
+        yield from witnesses(base, mu_d, {}, budget)  # no good pairs against psi0
 
 
-def gens_G(shape):
+def gens_G(shape, budget=None):
     """Witnesses against every minimal obstruction shape; these cut out the
     full-locus prime of the given shape up to the equivariant radical."""
-    return dedup_sorted(_obstruction_witnesses(shape))
+    return dedup_sorted(_obstruction_witnesses(shape, budget))
 
 
 def _phi_targets(p, budget=None):
@@ -72,7 +72,7 @@ def gens_H(p, budget=None):
 def full_gens(p, budget=None):
     """Combined generating set, deduplicated; generates p up to the
     equivariant radical."""
-    return dedup_sorted(itertools.chain(_obstruction_witnesses(p.shape),
+    return dedup_sorted(itertools.chain(_obstruction_witnesses(p.shape, budget),
                                         _locus_witnesses(p, budget)))
 
 

@@ -6,7 +6,10 @@ the configuration coordinates t1..tr; the configuration locus is the variety
 of that ideal restricted to the open set where all coordinates differ.
 Membership of a polynomial is decided by substituting every admissible
 placement of its variables into the parts, truncating jet directions at the
-part weights, and testing each surviving coefficient on the locus.
+part weights, and testing each surviving coefficient on the locus.  The
+placements are walked as a tree, one variable per level: x_i -> t_alpha + e_i
+is substituted into the parent's expansion, so a shared prefix of placements
+is expanded once and terms cancel at the level where they meet.
 """
 
 import itertools
@@ -136,53 +139,127 @@ def _unpack_t(packed, width):
     return tuple(tm)
 
 
+class _Jets:
+    """Jet states of one polynomial f during the substitution x_i -> t + e_i.
+
+    A state maps packed keys to nonzero coefficients.  A key has one bit
+    field of `width` bits per part (t-exponents, part alpha in field
+    alpha - 1), then one per window variable for its e-exponent, then one
+    per window variable for the x-exponent still to be substituted.  No
+    field exceeds deg f, so `width` bits hold it.
+    """
+
+    def __init__(self, f, xs, r):
+        self.field = f.field
+        self.xs = xs
+        self.width = w = max(f.degree(), 1).bit_length()
+        self.e_base = r * w
+        self.x_base = (r + len(xs)) * w
+        level = {i: ell for ell, i in enumerate(xs)}
+        self.root = {sum(k << (self.x_base + w * level[v[1]]) for v, k in mono): c
+                     for mono, c in f.terms.items()}
+        self._t_monos = {}
+        self._e_monos = {}
+
+    def step(self, state, level, alpha, weight):
+        """State after substituting x_xs[level] -> t_alpha + e, truncated at
+        e^weight.  Terms that meet are summed, and cancel, here."""
+        add, mul = self.field.add, self.field.mul
+        w = self.width
+        x_shift = self.x_base + w * level
+        t_one = 1 << (w * (alpha - 1))
+        shift = (1 << (self.e_base + w * level)) - t_one
+        mask = (1 << w) - 1
+        comb = math.comb
+        out = {}
+        get = out.get
+        for key, c in state.items():
+            k = (key >> x_shift) & mask
+            # x^k contributes C(k,j) * t_alpha^(k-j) * e^j for each j < weight
+            key += k * t_one - (k << x_shift)
+            for j in range(k + 1 if k < weight else weight):
+                val = mul(c, comb(k, j)) if j else c
+                if val:
+                    old = get(key)
+                    if old is None:
+                        out[key] = val
+                    else:
+                        s = add(old, val)
+                        if s:
+                            out[key] = s
+                        else:
+                            del out[key]
+                key += shift
+        return out
+
+    def coefficients(self, state):
+        """{e-monomial: t-polynomial} of a state with every variable placed."""
+        w, e_base, xs = self.width, self.e_base, self.xs
+        t_mask = (1 << e_base) - 1
+        e_mask = (1 << w) - 1
+        t_monos, e_monos = self._t_monos, self._e_monos
+        out = {}
+        for key, c in state.items():
+            packed, e_packed = key & t_mask, key >> e_base
+            tm = t_monos.get(packed)
+            if tm is None:
+                tm = t_monos[packed] = _unpack_t(packed, w)
+            em = e_monos.get(e_packed)
+            if em is None:
+                em = e_monos[e_packed] = tuple(
+                    (evar(i), j) for ell, i in enumerate(xs)
+                    if (j := (e_packed >> (w * ell)) & e_mask))
+            out.setdefault(em, {})[tm] = c
+        return {em: Poly(self.field, terms) for em, terms in out.items()}
+
+
 def truncated_substitution(f, assign, weights):
     """Coefficients of f(x_i -> t_part(i) + e_i) with e_i^weight truncated.
 
     Returns a dict mapping jet monomials (in the e-variables) to polynomials
-    in the t-variables.  weights is indexed by part position - 1.
+    in the t-variables.  weights is indexed by part position - 1.  This is
+    the walk of `placement_jets` down the one branch `assign`.
     """
-    fld = f.field
-    add, mul = fld.add, fld.mul
-    # a t-monomial is summed as a packed int, one bit field per part, wide
-    # enough for any exponent up to f's degree
-    width = max(f.degree(), 1).bit_length()
-    t_monos = {}
-    out = {}
-    for mono, c in f.terms.items():
-        # x_i^k contributes C(k,j) * t_alpha^(k-j) * e_i^j for each j < weight
-        choices = []
-        for v, k in mono:
-            alpha = assign[v[1]]
-            shift = width * (alpha - 1)
-            ev = evar(v[1])
-            choices.append([((k - j) << shift, ((ev, j),) if j else (), math.comb(k, j))
-                            for j in range(min(k, weights[alpha - 1] - 1) + 1)])
-        for combo in itertools.product(*choices):
-            packed = 0
-            em = ()
-            binom = 1
-            for tp, ej, b in combo:
-                packed += tp
-                em += ej
-                binom *= b
-            # f's monomials list x-variables in order, so em is already sorted
-            tm = t_monos.get(packed)
-            if tm is None:
-                tm = t_monos[packed] = _unpack_t(packed, width)
-            val = c if binom == 1 else mul(c, binom)
-            if not val:
-                continue
-            bucket = out.setdefault(em, {})
-            if tm in bucket:
-                s = add(bucket[tm], val)
-                if s:
-                    bucket[tm] = s
-                else:
-                    del bucket[tm]
-            else:
-                bucket[tm] = val
-    return {em: Poly(fld, terms) for em, terms in out.items() if terms}
+    xs = _x_window(f)
+    jets = _Jets(f, xs, len(weights))
+    state = jets.root
+    for level, i in enumerate(xs):
+        state = jets.step(state, level, assign[i], weights[assign[i] - 1])
+    return jets.coefficients(state)
+
+
+def placement_jets(f, shape):
+    """Yield (assign, truncated_substitution(f, assign, shape.weights)) for
+    every assign in assignments(xs, shape), in that order, xs being f's
+    window.
+
+    The placements form a tree whose level l places the l-th window
+    variable.  Each node expands its parent's state by one variable, so a
+    placement prefix is expanded once for all the placements below it, and
+    terms cancel at the level where they meet.  Siblings share their
+    parent's state and never change it; a part full to its capacity gets
+    no further variable.
+    """
+    xs = _x_window(f)
+    r, weights = shape.r, shape.weights
+    room = [p if p != INF else len(xs) for p in shape.parts]
+    jets = _Jets(f, xs, r)
+    path = []
+
+    def descend(state):
+        level = len(path)
+        if level == len(xs):
+            yield dict(zip(xs, path)), jets.coefficients(state)
+            return
+        for alpha in range(1, r + 1):
+            if room[alpha - 1]:
+                room[alpha - 1] -= 1
+                path.append(alpha)
+                yield from descend(jets.step(state, level, alpha, weights[alpha - 1]))
+                path.pop()
+                room[alpha - 1] += 1
+
+    return descend(jets.root)
 
 
 def member(f, p, budget=None):
@@ -190,7 +267,9 @@ def member(f, p, budget=None):
 
     Every admissible placement of f's variables into the parts must send f
     into the jet ideal: after truncation, each coefficient polynomial has to
-    vanish on the configuration locus.
+    vanish on the configuration locus.  The placements come from
+    `placement_jets` in `assignments` order, and the first coefficient that
+    does not vanish ends the walk.
     """
     budget = budget or DEFAULT_BUDGET
     if f.is_zero():
@@ -203,8 +282,7 @@ def member(f, p, budget=None):
     if count > budget.max_reductions:
         raise BudgetExceededError("placement space of size %d exceeds budget" % count)
     verdicts = {}
-    for assign in assignments(xs, p.shape):
-        coeffs = truncated_substitution(f, assign, p.shape.weights)
+    for _assign, coeffs in placement_jets(f, p.shape):
         for tpoly in coeffs.values():
             keyp = _scale_normalize(tpoly)
             verdict = verdicts.get(keyp)
@@ -236,7 +314,7 @@ def member_via_derivatives(f, p, budget=None):
         return True
     xs = _x_window(f)
     sat = saturated_ideal(p)
-    if is_unit_ideal(sat):
+    if is_unit_ideal(sat, budget):
         return True
     for assign in assignments(xs, p.shape):
         ranges = [range(p.shape.weights[assign[i] - 1]) for i in xs]

@@ -140,6 +140,14 @@ def _h3_factors(p, layout, u_choices, budget=None):
         for trace in compatible_partitions(gp, layout, p.shape, budget))
 
 
+def _times(a, b, budget):
+    """a * b, unless its degree would exceed the budget's max_degree."""
+    degree = a.degree() + b.degree()
+    if degree > budget.max_degree:
+        raise BudgetExceededError("witness degree %d exceeds budget" % degree)
+    return a * b
+
+
 def witnesses(p, target, locus_gens, budget=None):
     """Witnesses h1*h2*h3 of p's prime against the target shape.
 
@@ -147,14 +155,16 @@ def witnesses(p, target, locus_gens, budget=None):
     good_pairs order, to the locus generators it may lift.  One witness is
     yielded per choice of one generator for each good pair: h1*h2 is built
     once and multiplied by the distinct locus factors of that choice.  With
-    no good pairs the single witness is h1*h2.
+    no good pairs the single witness is h1*h2.  Raises BudgetExceededError
+    before h1*h2 or a partial product would exceed the budget's max_degree.
     """
+    budget = budget or DEFAULT_BUDGET
     layout = WitnessLayout.build(p.shape, target)
-    h12 = _h1(layout) * _h2(layout)
+    h12 = _times(_h1(layout), _h2(layout), budget)
     for picks in itertools.product(*locus_gens.values()):
         h = h12
         for factor in _h3_factors(p, layout, dict(zip(locus_gens, picks)), budget):
-            h = h * factor
+            h = _times(h, factor, budget)
         yield h
 
 
@@ -170,7 +180,7 @@ def build_h(p, q_shape, q_point=None, budget=None):
     """
     gps = good_pairs(q_shape, p.shape)
     if not gps:
-        return next(witnesses(p, q_shape, {}))
+        return next(witnesses(p, q_shape, {}, budget))
     if q_point is None:
         raise NoWitnessError("a rational target point outside the degeneration "
                              "closure is required when good pairs exist")

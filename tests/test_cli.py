@@ -203,6 +203,23 @@ def test_witness_respects_budget(capsys, tmp_path):
     assert "trace space" in capsys.readouterr().err
 
 
+def test_max_degree_bounds_built_witnesses(problem_files, capsys, tmp_path):
+    # unbounded, the circle's generators reach degree 9 and this witness
+    # has degree 11
+    assert main(["gens", problem_files["circle"], "--max-degree", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget exhausted: witness degree" in captured.err
+    path = tmp_path / "line21.json"
+    path.write_text(json.dumps({"lambda": ["inf", "inf"], "e": [2, 1],
+                                "Z": ["t1+t2-1"]}))
+    argv = ["witness", str(path), "--lambda", "inf", "--e", "3", "--point", "2"]
+    assert main(argv + ["--max-degree", "11"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--max-degree", "10"]) == 3
+    assert "budget exhausted: witness degree 11 exceeds budget" in capsys.readouterr().err
+
+
 def test_version_embedded(problem_files, capsys):
     import symprime
     _, report = run(capsys, "psi0", "--lambda", "inf", "--e", "1")

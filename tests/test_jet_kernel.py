@@ -5,6 +5,9 @@ f(x_i -> t_assign(i) + e_i) at e^beta, for beta below the part weights.  By
 Taylor's formula that coefficient is (1/beta!) d^beta f with x_i -> t_assign(i).
 Over GF(p) the divided derivative is taken over QQ on integer lifts of the
 coefficients (it stays integral) and reduced mod p afterwards.
+
+placement_jets(f, shape) walks the tree of placements and yields, for every
+placement of assignments(xs, shape) in order, the same coefficients.
 """
 
 import itertools
@@ -15,8 +18,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from symprime.combinat import INF, shape
 from symprime.poly import GF, Poly, QQ, evar, parse, tvar, xvar
-from symprime.sprime import truncated_substitution
+from symprime.sprime import assignments, placement_jets, truncated_substitution
 
 
 def taylor_coefficients(f, assign, weights):
@@ -43,7 +47,8 @@ def assert_no_zeros(coeffs):
 
 
 @st.composite
-def cases(draw):
+def polynomials(draw):
+    """A polynomial in x1..xn, n <= 3, over QQ or a small or large GF(p)."""
     field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(32003)]))
     n = draw(st.integers(1, 3))
     monomial = st.lists(st.integers(0, 5), min_size=n, max_size=n).map(
@@ -52,7 +57,13 @@ def cases(draw):
         coefficient = st.fractions(min_value=-9, max_value=9, max_denominator=4)
     else:
         coefficient = st.integers(-field.char, field.char)
-    f = Poly.from_terms(draw(st.lists(st.tuples(monomial, coefficient), max_size=6)), field)
+    return Poly.from_terms(draw(st.lists(st.tuples(monomial, coefficient), max_size=6)),
+                           field), n
+
+
+@st.composite
+def cases(draw):
+    f, n = draw(polynomials())
     r = draw(st.integers(1, 3))
     weights = draw(st.lists(st.integers(1, 5), min_size=r, max_size=r))
     assign = {i + 1: draw(st.integers(1, r)) for i in range(n)}
@@ -68,6 +79,34 @@ def test_jets_are_divided_derivatives(case):
     assert_no_zeros(coeffs)
 
 
+@st.composite
+def walks(draw):
+    f, _ = draw(polynomials())
+    r = draw(st.integers(1, 3))
+    # a shape needs one infinite part; finite parts hold at most 1 or 2
+    parts = [INF] + draw(st.lists(st.sampled_from([INF, 1, 2]), min_size=r - 1,
+                                  max_size=r - 1))
+    weights = draw(st.lists(st.integers(1, 4), min_size=r, max_size=r))
+    return f, shape(parts, weights)
+
+
+def assert_walk_is_taylor(f, sh):
+    leaves = list(placement_jets(f, sh))
+    xs = tuple(sorted({v[1] for v in f.variables()}))
+    assert [assign for assign, _ in leaves] == list(assignments(xs, sh))
+    for assign, coeffs in leaves:
+        assert coeffs == taylor_coefficients(f, assign, sh.weights)
+        assert_no_zeros(coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(walks())
+def test_every_leaf_of_the_walk_is_its_placement_jet(case):
+    # siblings share their parent's state: a step that changed it would
+    # corrupt every leaf after the first below that parent
+    assert_walk_is_taylor(*case)
+
+
 def test_binomial_divisible_by_the_characteristic():
     # (t1 + e1)^2 = t1^2 + 2*t1*e1 + e1^2, and 2 = 0 in GF(2)
     f = parse("x1^2", GF(2))
@@ -81,3 +120,5 @@ def test_binomial_divisible_by_the_characteristic():
     assert coeffs == taylor_coefficients(g, {1: 1, 2: 1}, [4])
     assert set(coeffs) == {(), ((evar(1), 3),), ((evar(2), 1),)}
     assert_no_zeros(coeffs)
+    for h, weights in ((f, [3]), (g, [4]), (g, [4, 2])):
+        assert_walk_is_taylor(h, shape([INF] * len(weights), weights))

@@ -1,12 +1,14 @@
 """Prime data construction and the membership oracle."""
 
+import math
 import random
 import warnings
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from symprime.combinat import INF, shape
-from symprime.poly import Poly, parse, xvar
+from symprime.poly import Poly, QQ, parse, xvar
 from symprime.sprime import (SPrimeData, assignments, make_sprime, member,
                              member_via_derivatives, q_ideal_truncated,
                              radical_of)
@@ -172,3 +174,45 @@ def test_member_agrees_with_derivative_oracle(text, parts, weights, zgens):
 def test_json_roundtrip():
     p = make_sprime([INF, INF], [2, 2], [parse("t1^2+t2^2-1")])
     assert SPrimeData.from_json_obj(p.to_json_obj()) == p
+
+
+def _derivatives(f, p):
+    """Derivatives member_via_derivatives takes for f in p."""
+    xs = sorted({v[1] for v in f.variables()})
+    return sum(math.prod(p.shape.weights[assign[i] - 1] for i in xs)
+               for assign in assignments(xs, p.shape))
+
+
+@st.composite
+def member_cases(draw):
+    r = draw(st.integers(1, 3))
+    parts = [INF] + draw(st.lists(st.sampled_from([INF, 1, 2]), min_size=r - 1,
+                                  max_size=r - 1))
+    weights = draw(st.lists(st.integers(1, 3), min_size=r, max_size=r))
+    # factors that vanish on the locus, on the diagonals, or wherever x1
+    # lands, so that members are drawn as well
+    factors = ["1", "x1 - x2", "x1^2 + x2^2 - 1", "(x1 - x2)*(x1 - x3)*(x2 - x3)"]
+    locus = draw(st.sampled_from(["free", "point", "circle"] if r > 1 else ["free", "point"]))
+    if locus == "point":
+        coords = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r, unique=True))
+        z = ["t%d - (%d)" % (a + 1, c) for a, c in enumerate(coords)]
+        factors.append("*".join("(x1 - (%d))" % c for c in coords))
+    else:
+        z = ["t1^2 + t2^2 - 1"] if locus == "circle" else []
+    n = draw(st.integers(1, 3))
+    monomial = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
+        lambda exps: tuple((xvar(i + 1), k) for i, k in enumerate(exps) if k))
+    f = Poly.from_terms(draw(st.lists(st.tuples(monomial, st.integers(-3, 3)),
+                                      min_size=1, max_size=4)), QQ)
+    f = f * parse(draw(st.sampled_from(factors))) ** draw(st.integers(1, 3))
+    return f, make_sprime(parts, weights, [parse(s) for s in z])
+
+
+@settings(max_examples=120, deadline=None)
+@given(member_cases())
+def test_member_agrees_with_derivative_oracle_on_random_cases(case):
+    f, p = case
+    # the derivative oracle's cost grows with its derivative count; stay
+    # within the count the benchmark's oracle allows
+    assume(not f.is_zero() and _derivatives(f, p) <= 100)
+    assert member(f, p) == member_via_derivatives(f, p)
