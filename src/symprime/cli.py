@@ -6,7 +6,8 @@ The parser is built once, at import.  Each command returns its report;
 
 Exit codes: 0 success (mathematical "false" answers included, except that
 contract-verify exits 1 on a failed verification), 2 input errors (malformed
-problem files included), 3 budget exhaustion.
+problem files included), 3 budget exhaustion, 4 internal errors (a psi0
+search box that provably misses a minimal shape).
 """
 
 import argparse
@@ -14,7 +15,7 @@ import json
 import sys
 
 from . import __version__
-from .combinat import parse_shape_arg, psi0
+from .combinat import BoundInsufficiencyError, parse_shape_arg, psi0
 from .contractlab import verify_contract
 from .groebner import Budget, BudgetExceededError
 from .poly import ParseError, parse
@@ -195,6 +196,9 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print("budget exhausted: %s" % exc, file=sys.stderr)
         return 3
+    except BoundInsufficiencyError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 4
     _emit(report, budget)
     return 0 if report.get("verified", True) else 1
 

@@ -5,6 +5,13 @@ A shape is a finite list of part sizes in {1, 2, ..., INF} with at least one
 infinite part, together with a positive integer weight per part; weights on
 finite parts are always 1 (reduced form).  Shapes are kept in canonical
 order: parts sorted descending by (size, weight) with INF largest.
+
+`good_pairs` is the one enumerator of degeneration certificates.
+`shape_leq` only decides whether one exists: it searches total maps of the
+source parts onto the target parts, depth first with per-target deficits,
+and stops at the first map that covers every target.  `psi0` sorts its
+obstructions by a rank that strictly increases along strict degeneration
+and keeps, in one sweep, each obstruction with no kept one below it.
 """
 
 import itertools
@@ -156,8 +163,46 @@ def _iter_good_pairs(target, source):
 
 
 def shape_leq(a, b):
-    """True iff shape a is a degeneration of shape b (a below b)."""
-    return next(_iter_good_pairs(a, b), None) is not None
+    """True iff shape a is a degeneration of shape b (a below b).
+
+    A source part that joins a fiber only raises that fiber's size and
+    weight sums, so a good pair exists exactly when some total map of b's
+    parts onto a's parts covers every target part.  The search assigns b's
+    parts in order and keeps, per uncovered target part, its deficit: the
+    infinite-source weight an infinite part still needs, or the size a
+    finite part still needs (an infinite source clears it).  Targets of the
+    same kind and deficit are interchangeable, so a state is the sorted
+    tuple of the nonzero (kind, deficit) pairs, kind 0 for infinite parts.
+    Each source covers at most one target, so a state with more uncovered
+    targets than sources left fails at once (a.r > b.r among them), as does
+    a state that already failed at the same source.
+    """
+    src = tuple(zip(b.parts, b.weights))
+    failed = set()
+
+    def cover(i, state):
+        if not state:
+            return True
+        if len(state) > len(src) - i or (i, state) in failed:
+            return False
+        size, weight = src[i]
+        for k, (kind, deficit) in enumerate(state):
+            if k and state[k - 1] == (kind, deficit):
+                continue
+            if size == INF:
+                left = deficit - weight if kind == 0 else 0
+            else:
+                left = deficit if kind == 0 else deficit - size
+            rest = state[:k] + state[k + 1:]
+            if left > 0:
+                rest = tuple(sorted(rest + ((kind, left),)))
+            if cover(i + 1, rest):
+                return True
+        failed.add((i, state))
+        return False
+
+    return cover(0, tuple(sorted((0, w) if p == INF else (1, p)
+                                 for p, w in zip(a.parts, a.weights))))
 
 
 def predecessors(s, finite_cap):
@@ -196,6 +241,20 @@ def box_candidates(max_parts, finite_cap, weight_cap):
             yield WeightedShape(parts, weights)
 
 
+def _rank(s):
+    """A key that strictly increases along strict degeneration t < s.
+
+    Fibers are disjoint and nonempty, so t.r <= s.r; every infinite target
+    part takes infinite source parts of at least its weight, which bounds
+    the infinite weight sum and the number of infinite parts.  When all
+    three agree the map is a bijection of infinite parts onto infinite
+    parts of equal weights and of finite parts onto finite parts no
+    smaller, so t != s forces a smaller finite sum.
+    """
+    return (s.r, s.inf_weight_sum(), sum(1 for p in s.parts if p == INF),
+            s.finite_sum())
+
+
 def psi0(base):
     """Minimal shapes that are not degenerations of base (a finite antichain).
 
@@ -209,8 +268,13 @@ def psi0(base):
     weight_cap = 1 + base.inf_weight_sum()
     obstructions = [s for s in box_candidates(r + 1, finite_cap, weight_cap)
                     if not shape_leq(s, base)]
-    minimal = [s for s in obstructions
-               if not any(t != s and shape_leq(t, s) for t in obstructions)]
+    # rank strictly increases along strict degeneration, so one sweep in
+    # rank order keeps exactly the shapes with no kept shape below them
+    kept = []
+    for s in sorted(obstructions, key=_rank):
+        if not any(shape_leq(m, s) for m in kept):
+            kept.append(s)
+    minimal = [s for s in obstructions if s in kept]
     # certificate: every immediate predecessor of a minimal element degenerates
     for s in minimal:
         for t in predecessors(s, finite_cap):

@@ -202,8 +202,9 @@ def _divide(work, keys, heads, field, key, budget):
         steps += 1
         if steps > budget.max_reductions:
             raise BudgetExceededError("division step budget exhausted")
+        get = dict(lm).get
         for head in heads:
-            if mono_divides(head[0], lm):
+            if all(get(v, 0) >= k for v, k in head[0]):
                 _add_multiple(work, keys, key, neg(mul(lc, inv(head[1]))),
                               mono_div(lm, head[0]), head, field)
                 break

@@ -69,10 +69,16 @@ class Rationals:
         return _rational(a if isinstance(a, Fraction) else Fraction(a))
 
     def add(self, a, b):
-        return _rational(a + b)
+        s = a + b
+        if type(s) is Fraction and s.denominator == 1:
+            return s.numerator
+        return s
 
     def mul(self, a, b):
-        return _rational(a * b)
+        p = a * b
+        if type(p) is Fraction and p.denominator == 1:
+            return p.numerator
+        return p
 
     def neg(self, a):
         return -a

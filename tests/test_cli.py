@@ -159,6 +159,22 @@ def test_failed_verification_exit_code(capsys, monkeypatch):
     assert code == 1 and report["verified"] is False
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    import symprime.cli
+    from symprime.combinat import BoundInsufficiencyError
+
+    def fail(base):
+        raise BoundInsufficiencyError("boundary obstruction %s dominates no minimal element"
+                                      % (base,))
+
+    monkeypatch.setattr(symprime.cli, "psi0", fail)
+    assert main(["psi0", "--lambda", "inf", "--e", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: boundary obstruction (inf);(1) dominates "
+                            "no minimal element\n")
+
+
 def test_parser_is_built_once(problem_files, capsys, monkeypatch):
     import argparse
     built = []

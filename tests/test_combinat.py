@@ -4,9 +4,17 @@ import random
 
 import pytest
 
-from symprime.combinat import (INF, WeightedShape, canonicalize, good_pairs,
-                               predecessors, psi0, refinement_pairs, shape,
-                               shape_leq, parse_shape_arg)
+from symprime import combinat
+from symprime.combinat import (INF, WeightedShape, _rank, box_candidates,
+                               canonicalize, good_pairs, predecessors, psi0,
+                               refinement_pairs, shape, shape_leq,
+                               shape_sort_key, parse_shape_arg)
+
+try:
+    import hypothesis
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # only the property test needs it
+    hypothesis = None
 
 
 def test_canonicalize_examples():
@@ -114,6 +122,96 @@ def test_shape_leq_reflexive_transitive_antisymmetric(rng):
             for c in SAMPLE:
                 if rel[(a, b)] and rel[(b, c)]:
                     assert rel[(a, c)], (str(a), str(b), str(c))
+
+
+@pytest.mark.parametrize("box", [(3, 3, 3), (4, 2, 2)], ids=str)
+def test_shape_leq_agrees_with_good_pairs(box):
+    shapes = list(box_candidates(*box))
+    for a in shapes:
+        for b in shapes:
+            assert shape_leq(a, b) == bool(good_pairs(a, b)), (str(a), str(b))
+
+
+def _degeneration(data, b):
+    """A shape below b, built from a total map of some of b's parts onto
+    new parts followed by shrinking each new part's size or weight."""
+    src = list(zip(b.parts, b.weights))
+    labels = data.draw(st.lists(st.integers(-1, b.r - 1),
+                                min_size=b.r, max_size=b.r))
+    parts, weights = [], []
+    for label in sorted(set(labels) - {-1}):
+        fiber = [src[i] for i, lab in enumerate(labels) if lab == label]
+        inf_weight = sum(w for p, w in fiber if p == INF)
+        if inf_weight and data.draw(st.booleans()):
+            parts.append(INF)
+            weights.append(data.draw(st.integers(1, inf_weight)))
+        else:
+            size = INF if inf_weight else sum(p for p, _ in fiber)
+            parts.append(data.draw(st.integers(1, min(size, 6))))
+            weights.append(1)
+    hypothesis.assume(INF in parts)
+    return shape(parts, weights)
+
+
+PART = [(INF, w) for w in range(1, 5)] + [(p, 1) for p in range(1, 5)]
+
+
+@pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
+def test_rank_strictly_increases_along_degeneration():
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(PART), min_size=1, max_size=5), st.data())
+    def check(pws, data):
+        hypothesis.assume(any(p == INF for p, _ in pws))
+        b = shape([p for p, _ in pws], [w for _, w in pws])
+        a = _degeneration(data, b)
+        assert shape_leq(a, b)
+        if a != b:
+            assert _rank(a) < _rank(b)
+            assert not shape_leq(b, a)
+
+    check()
+
+
+def _psi0_all_pairs(base):
+    """psi0 with minimality decided by testing every obstruction against
+    every other one (no certificate or boundary checks)."""
+    obstructions = [s for s in box_candidates(base.r + 1, 1 + base.finite_sum(),
+                                              1 + base.inf_weight_sum())
+                    if not shape_leq(s, base)]
+    minimal = [s for s in obstructions
+               if not any(t != s and shape_leq(t, s) for t in obstructions)]
+    return tuple(sorted(minimal, key=shape_sort_key))
+
+
+CONTAIN_CLI_TARGETS = ("inf;1", "inf;2", "inf;3", "inf,inf;1,1", "inf,inf;2,2",
+                       "inf,inf;2,1", "inf,1;2,1", "inf,1;1,1")
+
+
+@pytest.mark.parametrize("text", CONTAIN_CLI_TARGETS + ("inf,inf,inf;1,1,1",
+                                                       "inf,1,2;2,1,1"))
+def test_psi0_matches_all_pairs_minimality(text):
+    base = parse_shape_arg(*text.split(";"))
+    assert psi0(base) == _psi0_all_pairs(base)
+
+
+def test_psi0_golden_three_parts():
+    out = psi0(shape([INF, INF, 2], [3, 2, 1]))
+    assert [str(s) for s in out] == ["(inf);(6)", "(inf,3);(4,1)", "(inf,1,1);(4,1,1)",
+                                     "(inf,3,3);(1,1,1)", "(inf,1,1,1);(1,1,1,1)"]
+
+
+def test_psi0_shape_leq_calls(monkeypatch):
+    calls = []
+    leq = combinat.shape_leq
+
+    def counting(a, b):
+        calls.append((a, b))
+        return leq(a, b)
+
+    monkeypatch.setattr(combinat, "shape_leq", counting)
+    psi0(shape([INF, INF], [2, 2]))
+    # testing every obstruction against every other one took 753 calls
+    assert len(calls) == 249
 
 
 def test_refinement_pairs_examples():
