@@ -1,22 +1,29 @@
 """Buchberger completion, normal forms, elimination, saturation, and
 radical-membership tests: the decision kernel for all variety operations.
 
-Pair processing uses the Gebauer-Moeller elimination criteria with
-normal-strategy selection.  Every potentially unbounded computation is
-guarded by a resource budget and fails loudly instead of looping.
+Pair processing uses the Gebauer-Moeller elimination criteria with sugar
+selection (Giovini et al., "One sugar cube, please", ISSAC 1991): each
+basis element carries a sugar, its input's degree or the sugar of the pair
+it came from, and the pair of least sugar is reduced next, ties going to
+the least lcm.  Every potentially unbounded computation is guarded by a
+resource budget and fails loudly instead of looping.
 
-Order keys are flat int tuples built from a column map each order
-precomputes.  Division works in place on a term dict: each step pops the
-leading term, found by `max` over a memo of keys that lasts one division,
-and adds the matching multiple of the divisor's other terms.
-`_buchberger` keeps the head (lm, lc, g) of every basis element and
-divides S-polynomials and the final interreduction by those heads.
+Polynomials and `MonomialOrder.key` speak in sorted ((family, idx), exp)
+tuples.  `_buchberger` and `normal_form` pack every monomial into one int
+on entry (`_Layout`: degree, exponents and the order's key fields, each a
+fixed-width field with a guard bit, the key fields on top) and unpack on
+exit, so inside the kernel (after Monagan and Pearce, CASC 2007) int `<`
+is the order, `+` and `-` multiply and divide, and one mask tests
+divisibility.  Division works in place on a term dict: each step pops the
+leading term, found by `max` over the ints, and adds the matching
+multiple of the divisor's other terms.  `_buchberger` keeps the head
+(lm, lc, other terms) of every basis element and divides S-polynomials
+and the final interreduction by those heads.
 """
 
 from dataclasses import dataclass
 
-from .poly import (Poly, QQ, mono_degree, mono_div, mono_divides, mono_lcm,
-                   mono_mul, var_key, zvar)
+from .poly import Poly, QQ, mono_div, mono_lcm, var_key, zvar
 
 
 class BudgetExceededError(RuntimeError):
@@ -120,6 +127,111 @@ def _sig(variables):
     return tuple(sorted(variables, key=var_key))
 
 
+class _Layout:
+    """Monomials of one order packed into one int each, for the kernel.
+
+    Each field is `width` bits plus a guard bit on top.  From least to
+    most significant: the total degree; one exponent per variable in
+    `var_key` order; then the order's key fields, first block most
+    significant.  A graded block b_1..b_m contributes the prefix sums
+    S_k = e(b_1) + ... + e(b_k) with S_m on top, since comparing
+    (S_m, ..., S_1) is comparing grevlex's (degree, -e(b_m), ..., -e(b_1));
+    a lex block contributes its exponents, first variable on top.
+
+    Every field is a nonnegative linear function of the exponents, so as
+    long as no field overflows: int `<` is the order, the product of
+    monomials is `+` and the quotient `-`, and m1 divides m2 iff
+    `(m2 - m1) & guard == 0` (a negative field borrows, which sets its
+    guard bit).
+
+    Width: with D the larger of the degree bound and the inputs' degree,
+    2**width > 3*D keeps every field from overflowing.  Heads have degree
+    at most D (inputs by definition of D, new heads are degree-checked),
+    so a pair's lcm has degree at most 2D and an S-polynomial's terms,
+    a cofactor of degree at most 2D times a head's term, at most 3D.  A
+    division step first checks its leading monomial against the bound, so
+    the terms it adds have degree at most 2D.  Every field is at most the
+    degree, so the inner loops need no overflow check.
+    """
+
+    __slots__ = ("fields", "mask", "guard", "_units", "_unit_at", "_exp_mask",
+                 "_exp_guard", "_width")
+
+    def __init__(self, order, bound):
+        w = max(1, (3 * bound).bit_length())
+        f = w + 1
+        variables = sorted(set(order.variables()), key=var_key)
+        n = len(variables)
+        units = {v: 1 | 1 << f * (i + 1) for i, v in enumerate(variables)}
+        # a variable listed twice counts in its first place only
+        seen, blocks = set(), []
+        for block in order.blocks:
+            counted = []
+            for v in block:
+                if v not in seen:
+                    seen.add(v)
+                    counted.append(v)
+            blocks.append(counted)
+        base = n + 1
+        for block in reversed(blocks):
+            m = len(block)
+            if order.kind == "lex":
+                for k, v in enumerate(block):
+                    units[v] += 1 << f * (base + m - 1 - k)
+            else:
+                ones = ((1 << f * m) - 1) // ((1 << f) - 1)
+                for k, v in enumerate(block):  # b_(k+1) is in S_(k+1)..S_m
+                    units[v] += ones >> f * k << f * (base + k)
+            base += m
+        repunit = ((1 << f * base) - 1) // ((1 << f) - 1)
+        self._width = w
+        self.mask = (1 << w) - 1
+        self.guard = repunit << w
+        exps = (repunit >> f * (base - n)) << f
+        self._exp_mask = exps * self.mask
+        self._exp_guard = exps << w
+        self.fields = tuple((v, f * (i + 1)) for i, v in enumerate(variables))
+        self._units = units
+        self._unit_at = {f * (i + 2) - 1: units[v] for i, v in enumerate(variables)}
+
+    def pack(self, terms):
+        """([(packed monomial, coefficient)], largest degree) of a term dict."""
+        units = self._units
+        out, top = [], 0
+        for m, c in terms.items():
+            p = d = 0
+            try:
+                for v, k in m:
+                    p += units[v] * k
+                    d += k
+            except KeyError:
+                raise ValueError("monomial uses variables outside the order: %r"
+                                 % sorted((v for v, _ in m if v not in units),
+                                          key=var_key)) from None
+            out.append((p, c))
+            if d > top:
+                top = d
+        return out, top
+
+    def unpack(self, p):
+        mask = self.mask
+        return tuple((v, e) for v, s in self.fields if (e := p >> s & mask))
+
+    def lcm(self, a, b):
+        """Packed lcm: a raised, in each variable where b's exponent is
+        larger, by the difference."""
+        em, eg, w = self._exp_mask, self._exp_guard, self._width
+        # per exponent field (a + 2**w) - b, which clears the guard bit
+        # exactly where b is larger; no field borrows from the next
+        t = (a & em | eg) - (b & em)
+        over = eg & ~t
+        while over:
+            top = over.bit_length() - 1
+            over ^= 1 << top
+            a += ((1 << w) - (t >> top - w & self.mask)) * self._unit_at[top]
+        return a
+
+
 class Ideal:
     """Finitely generated ideal with a per-order cache of reduced bases.
 
@@ -176,113 +288,134 @@ def normal_form(f, basis, order, budget=None):
     basis = [g for g in basis if not g.is_zero()]
     if f.is_zero() or not basis:
         return f
-    heads = [g.leading(order) + (g,) for g in basis]
-    key = order.key
-    return Poly(f.field, _divide(dict(f.terms), {m: key(m) for m in f.terms},
-                                 heads, f.field, key, budget or DEFAULT_BUDGET))
+    budget = budget or DEFAULT_BUDGET
+    layout, packed = _pack_all(basis + [f], order, budget)
+    heads = [_head(terms) for terms, _ in packed[:-1]]
+    r = _divide(dict(packed[-1][0]), heads, f.field, layout, budget)
+    return Poly(f.field, {layout.unpack(m): c for m, c in r.items()})
 
 
-def _divide(work, keys, heads, field, key, budget):
-    """Divide the term dict `work` in place by heads, a list of (lm, lc, g),
-    and return the remainder's term dict.
+def _pack_all(polys, order, budget):
+    """(layout, [(packed terms, degree)] per poly): the layout is wide
+    enough for the budget's degree bound and for the inputs' degrees."""
+    layout = _Layout(order, budget.max_degree)
+    packed = [layout.pack(g.terms) for g in polys]
+    top = max(d for _, d in packed)
+    if top > budget.max_degree:
+        layout = _Layout(order, top)
+        packed = [layout.pack(g.terms) for g in polys]
+    return layout, packed
 
-    `keys` holds the order key of every monomial in `work` and gains one
-    for each monomial that enters it, so each is scored once per call.
+
+def _head(terms):
+    """(lm, lc, other terms) of a packed term list."""
+    lm, lc = max(terms)
+    return lm, lc, [t for t in terms if t[0] != lm]
+
+
+def _divide(work, heads, field, layout, budget):
+    """Divide the packed term dict `work` in place by heads, a list of
+    (lm, lc, other terms), and return the remainder's term dict.
+
     Leading terms leave `work` in decreasing order, so the remainder's
     first term is its leading one.
     """
-    mul, neg, inv = field.mul, field.neg, field.inv
+    mul, neg, inv, add = field.mul, field.neg, field.inv, field.add
+    guard, mask = layout.guard, layout.mask
+    max_degree, max_steps = budget.max_degree, budget.max_reductions
     remainder = {}
     steps = 0
     while work:
-        lm = max(work, key=keys.__getitem__)
+        lm = max(work)
         lc = work.pop(lm)
-        if mono_degree(lm) > budget.max_degree:
-            raise BudgetExceededError("degree %d exceeds budget" % mono_degree(lm))
+        if lm & mask > max_degree:
+            raise BudgetExceededError("degree %d exceeds budget" % (lm & mask))
         steps += 1
-        if steps > budget.max_reductions:
+        if steps > max_steps:
             raise BudgetExceededError("division step budget exhausted")
-        get = dict(lm).get
-        for head in heads:
-            if all(get(v, 0) >= k for v, k in head[0]):
-                _add_multiple(work, keys, key, neg(mul(lc, inv(head[1]))),
-                              mono_div(lm, head[0]), head, field)
+        for hm, hc, tail in heads:
+            if not (lm - hm) & guard:
+                _add_multiple(work, neg(mul(lc, inv(hc))), lm - hm, tail, add, mul)
                 break
         else:
             remainder[lm] = lc
     return remainder
 
 
-def _add_multiple(work, keys, key, c, u, head, field):
-    """work += c*u*(g - lm) term by term for head = (lm, lc, g), where lm is
-    g's own key object; monomials new to `keys` are scored there."""
-    add, mul = field.add, field.mul
-    hm, _, g = head
-    for m, cg in g.terms.items():
-        if m is hm:
-            continue
-        m = mono_mul(m, u)
-        if m in work:
-            s = add(work[m], mul(cg, c))
+def _add_multiple(work, c, u, tail, add, mul):
+    """work += c*u*tail term by term, for packed monomials u and tail's."""
+    get = work.get
+    for m, cg in tail:
+        m += u
+        w = get(m)
+        if w is None:
+            work[m] = mul(cg, c)
+        else:
+            s = add(w, mul(cg, c))
             if s:
                 work[m] = s
             else:
                 del work[m]
-        else:
-            work[m] = mul(cg, c)
-            if m not in keys:
-                keys[m] = key(m)
 
 
 def _monic_head(terms, field):
-    """(lm, 1, monic g) from a remainder's term dict (leading term first)."""
-    g = Poly(field, terms).scale(field.inv(next(iter(terms.values()))))
-    lm = next(iter(g.terms))
-    return lm, g.terms[lm], g
+    """(lm, 1, other terms) of a remainder's term dict (leading term first),
+    scaled to be monic."""
+    items = iter(terms.items())
+    lm, lc = next(items)
+    mul, inv = field.mul, field.inv(lc)
+    return lm, mul(lc, inv), [(m, mul(c, inv)) for m, c in items]
 
 
-def _update(heads, P, pairs, head, key):
-    """Gebauer-Moeller pair update when head = (lm, lc, g) joins heads;
-    `pairs` maps each pair to (order key of its lcm, lcm)."""
+def _update(heads, sugars, P, pairs, head, sugar, layout):
+    """Gebauer-Moeller pair update when head = (lm, lc, tail) of the given
+    sugar joins heads; `pairs` maps each pair to (sugar, lcm)."""
     lmf = head[0]
     i_new = len(heads)
-    with_f = [mono_lcm(h[0], lmf) for h in heads]
+    guard, mask, lcm = layout.guard, layout.mask, layout.lcm
+    with_f = [lcm(h[0], lmf) for h in heads]
     kept = set()
     for (i, j) in P:
         lij = pairs[i, j][1]
-        if (not mono_divides(lmf, lij)
-                or lij == with_f[i]
-                or lij == with_f[j]):
+        if (lij - lmf) & guard or lij == with_f[i] or lij == with_f[j]:
             kept.add((i, j))
     by_lcm = {}
-    for i in range(i_new):
-        by_lcm.setdefault(with_f[i], []).append(i)
-    lcm_keys = {L: key(L) for L in by_lcm}
+    for i, L in enumerate(with_f):
+        by_lcm.setdefault(L, []).append(i)
     minimal = []
-    for L in sorted(by_lcm, key=lcm_keys.__getitem__):
-        if all(not mono_divides(M, L) for M in minimal):
+    for L in sorted(by_lcm):
+        if all((L - M) & guard for M in minimal):
             minimal.append(L)
     for L in minimal:
-        if any(L == mono_mul(heads[i][0], lmf) for i in by_lcm[L]):
+        if any(L == heads[i][0] + lmf for i in by_lcm[L]):
             continue  # coprime heads: S-pair reduces to zero
-        pair = (min(by_lcm[L]), i_new)
-        kept.add(pair)
-        pairs[pair] = (lcm_keys[L], L)
+        i = min(by_lcm[L])
+        d = L & mask
+        pairs[i, i_new] = (max(sugars[i] + d - (heads[i][0] & mask),
+                               sugar + d - (lmf & mask)), L)
+        kept.add((i, i_new))
     heads.append(head)
+    sugars.append(sugar)
     return kept
 
 
 def _buchberger(gens, order, budget):
-    field = gens[0].field if gens else QQ
-    key = order.key
+    gens = [g for g in gens if not g.is_zero()]
+    if len(gens) <= 1:
+        # a monic generator is its own reduced basis
+        return tuple(g.scale(g.field.inv(g.leading(order)[1])) for g in gens)
+    field = gens[0].field
+    layout, packed = _pack_all(gens, order, budget)
+    guard, mask = layout.guard, layout.mask
+    add, mul = field.add, field.mul
     one = field.coerce(1)
     minus_one = field.neg(one)
-    heads, P, pairs = [], set(), {}
-    for g in gens:
-        if not g.is_zero():
-            lm, lc = g.leading(order)
-            g = g.scale(field.inv(lc))
-            P = _update(heads, P, pairs, (lm, g.terms[lm], g), key)
+    heads, sugars, P, pairs = [], [], set(), {}
+    for terms, degree in packed:
+        lm, lc, tail = _head(terms)
+        inv = field.inv(lc)
+        head = (lm, one, [(m, mul(c, inv)) for m, c in tail])
+        P = _update(heads, sugars, P, pairs, head, degree, layout)
     reductions = 0
     while P:
         i, j = pair = min(P, key=pairs.__getitem__)
@@ -291,35 +424,41 @@ def _buchberger(gens, order, budget):
         if reductions > budget.max_reductions:
             raise BudgetExceededError("pair reduction budget exhausted")
         # the S-polynomial of two monic heads; their leading terms cancel
-        work, keys, lcm = {}, {}, pairs[pair][1]
-        _add_multiple(work, keys, key, one, mono_div(lcm, heads[i][0]), heads[i], field)
-        _add_multiple(work, keys, key, minus_one, mono_div(lcm, heads[j][0]), heads[j], field)
-        r = _divide(work, keys, heads, field, key, budget)
+        sugar, lcm = pairs[pair]
+        work = {}
+        _add_multiple(work, one, lcm - heads[i][0], heads[i][2], add, mul)
+        _add_multiple(work, minus_one, lcm - heads[j][0], heads[j][2], add, mul)
+        r = _divide(work, heads, field, layout, budget)
         if not r:
             continue
-        head = _monic_head(r, field)
-        if head[2].degree() > budget.max_degree:
-            raise BudgetExceededError("degree %d exceeds budget" % head[2].degree())
-        P = _update(heads, P, pairs, head, key)
+        degree = max(m & mask for m in r)
+        if degree > budget.max_degree:
+            raise BudgetExceededError("degree %d exceeds budget" % degree)
+        P = _update(heads, sugars, P, pairs, _monic_head(r, field), sugar, layout)
     # minimalize, then fully interreduce
-    lm_keys = [key(h[0]) for h in heads]
     minimal = []
-    for i in sorted(range(len(heads)), key=lm_keys.__getitem__):
-        if all(not mono_divides(heads[j][0], heads[i][0]) for j in minimal):
-            minimal.append(i)
-    basis = [heads[i] for i in minimal]
+    for h in sorted(heads, key=lambda h: h[0]):
+        if all((h[0] - m[0]) & guard for m in minimal):
+            minimal.append(h)
     reduced = []
-    for i, head in enumerate(basis):
-        others = basis[:i] + basis[i + 1:]
+    for i, head in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1:]
         if not others:
-            reduced.append(head)  # already reduced; keeps its term order
+            reduced.append(head)  # already reduced
             continue
-        terms = head[2].terms
-        r = _divide(dict(terms), {m: key(m) for m in terms}, others, field, key, budget)
+        work = dict(head[2])
+        work[head[0]] = head[1]
+        r = _divide(work, others, field, layout, budget)
         if r:
             reduced.append(_monic_head(r, field))
-    reduced.sort(key=lambda h: key(h[0]))
-    return tuple(h[2] for h in reduced)
+    reduced.sort(key=lambda h: h[0])
+    unpack = layout.unpack
+    out = []
+    for lm, lc, tail in reduced:
+        terms = {unpack(lm): lc}
+        terms.update((unpack(m), c) for m, c in tail)
+        out.append(Poly(field, terms))
+    return tuple(out)
 
 
 def groebner_basis(I, order=None, budget=None):

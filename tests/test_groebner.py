@@ -109,6 +109,22 @@ def test_ideal_intersect_examples():
     assert ideal_equal(ideal_intersect(I, I), I)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+def test_ideal_intersect_finishes_on_a_degree_two_partner(field):
+    # _random_ideal(random.Random(919)) and its ngens=2 partner; under
+    # normal selection this intersection ran for minutes within the budget
+    amb = (tvar(1), tvar(2), tvar(3))
+    I = Ideal([parse(s, field) for s in (
+        "2*t1*t2 + t2 + 1", "-3*t2^2*t3^2 - 2*t1^2*t3",
+        "-3*t1^2*t3 - 2*t1*t2*t3 - 2*t1^2")], ambient=amb, field=field)
+    J = Ideal([parse(s, field) for s in (
+        "-2*t2^2*t3 - 2*t1*t3^2 + t1*t2", "-3*t1^2*t2*t3 + 2*t1")],
+        ambient=amb, field=field)
+    K = ideal_intersect(I, J)
+    assert ideal_equal(K, ideal_intersect(J, I))
+    assert ideal_contains(I, K) and ideal_contains(J, K)
+
+
 def test_ideal_contains_reuses_the_basis_cache(buchberger_calls):
     calls = buchberger_calls
     circle = Ideal([parse("t1^2+t2^2-1")])
@@ -189,11 +205,19 @@ def test_spolys_reduce_to_zero(seed):
             assert normal_form(s, gens, order).is_zero()
 
 
-def test_buchberger_reuses_the_heads_it_holds(leading_calls):
-    # one leading term per input generator; S-pair reductions and the
-    # final interreduction divide by the heads the basis already keeps
+def test_buchberger_reuses_the_heads_it_holds(leading_calls, monkeypatch):
+    # the kernel packs each monomial once and orders the packed ints, so
+    # neither leading terms nor order keys are computed on tuples
+    key_calls = []
+    real = MonomialOrder.key
+
+    def counted(*args):
+        key_calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(MonomialOrder, "key", counted)
     contract_ideal(3, (3, 3, 3))
-    assert len(leading_calls) == 6
+    assert len(leading_calls) == 0
+    assert len(key_calls) == 0
 
 
 def oracle_normal_form(f, basis, order, budget=None):
