@@ -5,13 +5,12 @@ antichain arithmetic on radical stable ideals."""
 
 __version__ = "0.1.0"
 
-from .poly import GF, ParseError, Poly, QQ, discriminant, parse
+from .poly import GF, InputError, ParseError, Poly, QQ, discriminant, parse
 from .groebner import (Budget, BudgetExceededError, Ideal, MonomialOrder, eliminate,
                        groebner_basis, ideal_equal, ideal_intersect, ideal_member,
                        normal_form, radical_member, saturate, variety_contained)
-from .combinat import (INF, BoundInsufficiencyError, GoodPair, WeightedShape,
-                       canonicalize, good_pairs, psi0, refinement_pairs, shape,
-                       shape_leq)
+from .combinat import (INF, GoodPair, WeightedShape, canonicalize, good_pairs, psi0,
+                       refinement_pairs, shape, shape_leq)
 from .sprime import (SPrimeData, make_sprime, member, member_via_derivatives,
                      q_ideal_truncated, radical_of)
 from .theta import Containment, ThetaResult, contains, equal, theta, theta_pair

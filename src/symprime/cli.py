@@ -5,9 +5,10 @@ The parser is built once, at import.  Each command returns its report;
 `main` emits it and maps the outcome to an exit code.
 
 Exit codes: 0 success (mathematical "false" answers included, except that
-contract-verify exits 1 on a failed verification), 2 input errors (malformed
-problem files included), 3 budget exhaustion, 4 internal errors (a psi0
-search box that provably misses a minimal shape).
+contract-verify exits 1 on a failed verification), 2 input errors (an
+`InputError` from any layer, malformed problem files included, or a missing
+witness point), 3 budget exhaustion, 4 any other fault, reported as one
+`internal error` line on stderr.
 """
 
 import argparse
@@ -15,10 +16,10 @@ import json
 import sys
 
 from . import __version__
-from .combinat import BoundInsufficiencyError, parse_shape_arg, psi0
+from .combinat import parse_shape_arg, psi0
 from .contractlab import verify_contract
 from .groebner import Budget, BudgetExceededError
-from .poly import ParseError, parse
+from .poly import InputError, parse
 from .sprime import SPrimeData, member
 from .spectrum import make_radical, theta_slice
 from .theta import contains, theta
@@ -26,26 +27,13 @@ from .generators import full_gens
 from .witness import NoWitnessError, WitnessLayout, build_h
 
 
-class InputError(ValueError):
-    pass
-
-
 def _load_prime(path):
     try:
         with open(path) as fh:
             obj = json.load(fh)
         return SPrimeData.from_json_obj(obj)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, InputError) as exc:
         raise InputError("cannot load prime data from %s: %s" % (path, exc))
-
-
-def _poly_arg(text):
-    if text == "-":
-        text = sys.stdin.read()
-    try:
-        return parse(text)
-    except ParseError as exc:
-        raise InputError(str(exc))
 
 
 def _emit(report, budget):
@@ -76,7 +64,7 @@ def cmd_theta(args, budget):
 
 def cmd_member(args, budget):
     p = _load_prime(args.p)
-    f = _poly_arg(args.poly)
+    f = parse(sys.stdin.read() if args.poly == "-" else args.poly)
     return {"poly": str(f), "member": member(f, p, budget)}
 
 
@@ -99,7 +87,10 @@ def cmd_witness(args, budget):
 
 
 def cmd_contract_verify(args, budget):
-    q = tuple(int(tok) for tok in args.q.split(","))
+    try:
+        q = tuple(int(tok) for tok in args.q.split(","))
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     verified, basis = verify_contract(args.n, q, args.char, budget)
     return {"n": args.n, "q": list(q), "char": args.char,
             "verified": verified, "basis": [str(g) for g in basis.gens]}
@@ -190,14 +181,14 @@ def main(argv=None):
     budget = Budget(max_reductions=args.max_reductions, max_degree=args.max_degree)
     try:
         report = args.func(args, budget)
-    except (InputError, ParseError, ValueError, NoWitnessError) as exc:
+    except (InputError, NoWitnessError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except BudgetExceededError as exc:
         print("budget exhausted: %s" % exc, file=sys.stderr)
         return 3
-    except BoundInsufficiencyError as exc:
-        print("internal error: %s" % exc, file=sys.stderr)
+    except Exception as exc:  # a fault in the library, not in the input
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 4
     _emit(report, budget)
     return 0 if report.get("verified", True) else 1

@@ -17,26 +17,24 @@ and keeps, in one sweep, each obstruction with no kept one below it.
 import itertools
 from dataclasses import dataclass
 
+from .poly import InputError
+
 INF = float("inf")
-
-
-class BoundInsufficiencyError(RuntimeError):
-    """The enumeration box provably failed to capture a minimal element."""
 
 
 def _check_parts_weights(parts, weights):
     if len(parts) != len(weights):
-        raise ValueError("parts and weights must have equal length")
+        raise InputError("parts and weights must have equal length")
     if not parts:
-        raise ValueError("a shape needs at least one part")
+        raise InputError("a shape needs at least one part")
     for p in parts:
         if p != INF and (not isinstance(p, int) or p < 1):
-            raise ValueError("part sizes must be positive integers or INF")
+            raise InputError("part sizes must be positive integers or INF")
     for w in weights:
         if not isinstance(w, int) or w < 1:
-            raise ValueError("weights must be positive integers")
+            raise InputError("weights must be positive integers")
     if not any(p == INF for p in parts):
-        raise ValueError("at least one part must be infinite")
+        raise InputError("at least one part must be infinite")
 
 
 @dataclass(frozen=True)
@@ -50,9 +48,9 @@ class WeightedShape:
         _check_parts_weights(self.parts, self.weights)
         pw = list(zip(self.parts, self.weights))
         if pw != sorted(pw, reverse=True):
-            raise ValueError("shape is not in canonical descending order")
+            raise InputError("shape is not in canonical descending order")
         if any(w != 1 for p, w in pw if p != INF):
-            raise ValueError("weights on finite parts must be 1")
+            raise InputError("weights on finite parts must be 1")
 
     @property
     def r(self):
@@ -205,28 +203,6 @@ def shape_leq(a, b):
                                  for p, w in zip(a.parts, a.weights))))
 
 
-def predecessors(s, finite_cap):
-    """Immediate downward moves from s: delete a part, decrement a finite
-    part, decrement a weight, or replace a weight-1 infinite part by the
-    finite cap.  Invalid results (no infinite part left) are skipped."""
-    out = set()
-    n = s.r
-    for i in range(n):
-        parts = list(s.parts)
-        weights = list(s.weights)
-        # delete part i
-        if n > 1 and any(p == INF for j, p in enumerate(parts) if j != i):
-            out.add(shape(parts[:i] + parts[i + 1:], weights[:i] + weights[i + 1:]))
-        if parts[i] != INF and parts[i] > 1:
-            out.add(shape(parts[:i] + [parts[i] - 1] + parts[i + 1:], weights))
-        if parts[i] == INF and weights[i] > 1:
-            out.add(shape(parts, weights[:i] + [weights[i] - 1] + weights[i + 1:]))
-        if (parts[i] == INF and weights[i] == 1
-                and any(p == INF for j, p in enumerate(parts) if j != i)):
-            out.add(shape(parts[:i] + [finite_cap] + parts[i + 1:], weights))
-    return sorted(out, key=shape_sort_key)
-
-
 def box_candidates(max_parts, finite_cap, weight_cap):
     """All canonical shapes with at most max_parts parts, finite sizes at
     most finite_cap, and weights at most weight_cap."""
@@ -261,35 +237,18 @@ def psi0(base):
     The search box is derived from threshold arguments: beyond r+1 parts,
     finite sizes above 1 + (sum of base's finite parts), or weights above
     1 + (total weight on base's infinite parts), comparability with base no
-    longer changes.  A boundary check guards the box at runtime.
+    longer changes; a test checks the box against a larger one.  Rank
+    strictly increases along strict degeneration, so one sweep in rank
+    order keeps exactly the obstructions with no kept shape below them.
     """
-    r = base.r
-    finite_cap = 1 + base.finite_sum()
-    weight_cap = 1 + base.inf_weight_sum()
-    obstructions = [s for s in box_candidates(r + 1, finite_cap, weight_cap)
+    obstructions = [s for s in box_candidates(base.r + 1, 1 + base.finite_sum(),
+                                              1 + base.inf_weight_sum())
                     if not shape_leq(s, base)]
-    # rank strictly increases along strict degeneration, so one sweep in
-    # rank order keeps exactly the shapes with no kept shape below them
     kept = []
     for s in sorted(obstructions, key=_rank):
         if not any(shape_leq(m, s) for m in kept):
             kept.append(s)
-    minimal = [s for s in obstructions if s in kept]
-    # certificate: every immediate predecessor of a minimal element degenerates
-    for s in minimal:
-        for t in predecessors(s, finite_cap):
-            if not shape_leq(t, base):
-                raise BoundInsufficiencyError(
-                    "predecessor %s of minimal %s is still an obstruction" % (t, s))
-    # boundary guard: boundary obstructions must dominate a minimal element
-    for s in obstructions:
-        on_boundary = (s.r == r + 1
-                       or any(p != INF and p == finite_cap for p in s.parts)
-                       or any(w == weight_cap for w in s.weights))
-        if on_boundary and not any(shape_leq(m, s) for m in minimal):
-            raise BoundInsufficiencyError(
-                "boundary obstruction %s dominates no minimal element" % (s,))
-    return tuple(sorted(minimal, key=shape_sort_key))
+    return tuple(sorted(kept, key=shape_sort_key))
 
 
 def refinement_pairs(source, target):
@@ -356,6 +315,10 @@ def _bounded_compositions(total, caps):
 
 def parse_shape_arg(lambda_text, e_text):
     """Shape from CLI-style comma lists, e.g. 'inf,inf' and '2,2'."""
-    parts = [INF if tok.strip() == "inf" else int(tok) for tok in lambda_text.split(",")]
-    weights = [int(tok) for tok in e_text.split(",")]
+    try:
+        parts = [INF if tok.strip() == "inf" else int(tok)
+                 for tok in lambda_text.split(",")]
+        weights = [int(tok) for tok in e_text.split(",")]
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     return shape(parts, weights)

@@ -9,24 +9,26 @@ difference-power generators, in characteristic zero and p.
 import itertools
 
 from .groebner import Ideal, eliminate, ideal_contains, ideal_equal, ideal_member
-from .poly import Poly, QQ, evar, field_of_char, tvar, xvar
+from .poly import InputError, Poly, QQ, evar, field_of_char, tvar, xvar
 
 
 def _check_args(n, q, char):
     if n < 1:
-        raise ValueError("window size must be at least 1")
+        raise InputError("window size must be at least 1")
     q = tuple(q)
     if len(q) != n or any(not isinstance(k, int) or k < 1 for k in q):
-        raise ValueError("q must give a positive order per variable")
+        raise InputError("q must give a positive order per variable")
     if char:
         uniform = q[0]
         if any(k != uniform for k in q):
-            raise ValueError("positive characteristic requires uniform orders")
+            raise InputError("positive characteristic requires uniform orders")
+        if char < 2:  # for char 1 or -1 the loop below would never end
+            raise InputError("characteristic must be prime, got %r" % (char,))
         k = uniform
         while k % char == 0:
             k //= char
         if k != 1:
-            raise ValueError("order must be a power of the characteristic")
+            raise InputError("order must be a power of the characteristic")
     return q
 
 

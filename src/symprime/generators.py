@@ -12,7 +12,7 @@ from .combinat import box_candidates, good_pairs, psi0, shape_leq, shape_sort_ke
 from .groebner import Ideal
 from .poly import Poly, canonical_lead, poly_divides, xvar
 from .sprime import SPrimeData, member
-from .theta import projection_ideal, theta
+from .theta import projection_ideal, theta_pair
 from .witness import witnesses
 
 
@@ -42,11 +42,18 @@ def gens_G(shape, budget=None):
 
 def _phi_targets(p, budget=None):
     """Admissible target shapes: degenerations of p's shape with finite parts
-    bounded by the window constant whose degeneration closure is proper."""
+    bounded by the window constant whose degeneration closure is proper.
+
+    The closure is the intersection of the good pairs' components; in a
+    domain it is nonzero exactly when every component is, so no
+    intersection is computed.
+    """
     lam = p.shape
     cands = [cand for cand in box_candidates(lam.r, 1 + lam.finite_sum(),
                                              lam.inf_weight_sum())
-             if shape_leq(cand, lam) and theta(p, cand, budget).is_proper()]
+             if shape_leq(cand, lam)
+             and all(theta_pair(p, cand, gp, budget).gens
+                     for gp in good_pairs(cand, lam))]
     return sorted(cands, key=shape_sort_key)
 
 

@@ -235,12 +235,12 @@ class _Layout:
 class Ideal:
     """Finitely generated ideal with a per-order cache of reduced bases.
 
-    Values are immutable apart from the cache; cache writes are single
-    idempotent assignments of the unique reduced basis, so concurrent use
-    at worst recomputes the same value.
+    Values are immutable apart from the caches (reduced bases, default
+    order); cache writes are single idempotent assignments of a unique
+    value, so concurrent use at worst recomputes the same value.
     """
 
-    __slots__ = ("field", "gens", "ambient", "_gb")
+    __slots__ = ("field", "gens", "ambient", "_gb", "_order")
 
     def __init__(self, gens, ambient=(), field=None):
         gens = tuple(g for g in gens if not (isinstance(g, Poly) and g.is_zero()))
@@ -257,9 +257,13 @@ class Ideal:
         self.gens = gens
         self.ambient = tuple(sorted(vs, key=var_key))
         self._gb = {}
+        self._order = None
 
     def default_order(self):
-        return MonomialOrder.grevlex(self.ambient)
+        """Grevlex over the ambient, built on first use."""
+        if self._order is None:
+            self._order = MonomialOrder.grevlex(self.ambient)
+        return self._order
 
     def __eq__(self, other):
         return (isinstance(other, Ideal) and self.field.char == other.field.char
@@ -481,7 +485,11 @@ def is_unit_ideal(I, budget=None):
 def ideal_member(f, I, budget=None):
     """True iff f lies in I (extended to f's variables).  Grevlex over the
     wider set restricts to I's default order, so I's cached basis serves."""
-    order = MonomialOrder.grevlex(set(I.ambient) | f.variables())
+    fvars = f.variables()
+    if fvars.issubset(I.ambient):
+        order = I.default_order()
+    else:
+        order = MonomialOrder.grevlex(fvars.union(I.ambient))
     return normal_form(f, groebner_basis(I, budget=budget).gens, order, budget).is_zero()
 
 

@@ -14,7 +14,11 @@ FAMILIES = ("x", "t", "e", "z")
 _RANK = {f: i for i, f in enumerate(FAMILIES)}
 
 
-class ParseError(ValueError):
+class InputError(ValueError):
+    """Raised on a malformed or out-of-range value supplied by the caller."""
+
+
+class ParseError(InputError):
     """Raised on malformed polynomial text; carries the offending position."""
 
     def __init__(self, message, pos):
@@ -95,7 +99,7 @@ class PrimeField:
 
     def __init__(self, p):
         if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-            raise ValueError("characteristic must be prime, got %r" % (p,))
+            raise InputError("characteristic must be prime, got %r" % (p,))
         self.char = p
 
     def coerce(self, a):

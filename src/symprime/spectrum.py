@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .combinat import INF, canonicalize
 from .groebner import BudgetExceededError, Ideal, ideal_equal
-from .poly import Poly, QQ, tvar
+from .poly import InputError, Poly, QQ, tvar
 from .theta import contains, theta
 
 
@@ -23,7 +23,7 @@ class RadicalSIdeal:
 
     def __post_init__(self):
         if self.includes_zero and self.primes:
-            raise ValueError("the zero ideal absorbs every other component")
+            raise InputError("the zero ideal absorbs every other component")
 
     def to_json_obj(self):
         return {"includes_zero": self.includes_zero,
@@ -82,9 +82,9 @@ def d3_stabilize(p, base_shape, grow_index, cap=20, budget=None):
     slice ideals are compared until two consecutive ones agree.
     """
     if base_shape.parts[grow_index] != INF or base_shape.weights[grow_index] != 1:
-        raise ValueError("the growing part must be infinite with weight 1")
+        raise InputError("the growing part must be infinite with weight 1")
     if sum(1 for q in base_shape.parts if q == INF) < 2:
-        raise ValueError("the base shape needs at least two infinite parts")
+        raise InputError("the base shape needs at least two infinite parts")
 
     def slice_at(n):
         parts = list(base_shape.parts)

@@ -21,7 +21,8 @@ from functools import lru_cache
 from .combinat import INF, WeightedShape, canonicalize
 from .groebner import (DEFAULT_BUDGET, BudgetExceededError, Ideal,
                        ideal_member, is_unit_ideal, radical_member, saturate)
-from .poly import Poly, QQ, canonical_lead, discriminant, evar, parse, tvar
+from .poly import (InputError, Poly, QQ, canonical_lead, discriminant, evar,
+                   parse, tvar)
 
 
 @dataclass(frozen=True)
@@ -39,9 +40,12 @@ class SPrimeData:
 
     @classmethod
     def from_json_obj(cls, obj, assume_irreducible=True):
-        parts = [INF if p == "inf" else int(p) for p in obj["lambda"]]
-        weights = [int(w) for w in obj["e"]]
-        gens = [parse(s) for s in obj.get("Z", [])]
+        try:
+            parts = [INF if p == "inf" else int(p) for p in obj["lambda"]]
+            weights = [int(w) for w in obj["e"]]
+            gens = [parse(s) for s in obj.get("Z", [])]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(str(exc)) from None
         return make_sprime(parts, weights, gens, assume_irreducible)
 
     def __str__(self):
@@ -57,7 +61,7 @@ def make_sprime(parts, weights, gens, assume_irreducible=True):
     for g in gens:
         bad = [v for v in g.variables() if v[0] != "t" or v[1] > r]
         if bad:
-            raise ValueError("ideal generator %s uses variables outside t1..t%d" % (g, r))
+            raise InputError("ideal generator %s uses variables outside t1..t%d" % (g, r))
     # old position perm[k] moves to canonical position k
     rename = {tvar(perm[k] + 1): Poly.variable(tvar(k + 1), QQ) for k in range(r)}
     moved = tuple(g.substitute(rename) for g in gens)
@@ -99,7 +103,7 @@ def q_ideal_truncated(p, rho):
     ambient = list(tvar(i + 1) for i in range(r))
     for i, alpha in sorted(rho.items()):
         if not 1 <= alpha <= r:
-            raise ValueError("assignment target %d out of range" % alpha)
+            raise InputError("assignment target %d out of range" % alpha)
         gens.append(Poly.variable(evar(i), QQ) ** p.shape.weights[alpha - 1])
         ambient.append(evar(i))
     return Ideal(gens, ambient=tuple(ambient))
@@ -121,7 +125,7 @@ def _x_window(f):
     xs = set()
     for v in f.variables():
         if v[0] != "x":
-            raise ValueError("membership is defined for polynomials in x-variables")
+            raise InputError("membership is defined for polynomials in x-variables")
         xs.add(v[1])
     return tuple(sorted(xs))
 
@@ -309,7 +313,7 @@ def member_via_derivatives(f, p, budget=None):
     vanishes on the locus.
     """
     if f.field.char != 0:
-        raise ValueError("the derivative criterion needs characteristic 0")
+        raise InputError("the derivative criterion needs characteristic 0")
     if f.is_zero():
         return True
     xs = _x_window(f)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .combinat import INF, good_pairs
 from .groebner import BudgetExceededError, DEFAULT_BUDGET
-from .poly import Poly, QQ, discriminant, xvar
+from .poly import InputError, Poly, QQ, discriminant, xvar
 from .sprime import member
 from .theta import projection_ideal
 
@@ -184,12 +184,17 @@ def build_h(p, q_shape, q_point=None, budget=None):
     if q_point is None:
         raise NoWitnessError("a rational target point outside the degeneration "
                              "closure is required when good pairs exist")
-    point = tuple(Fraction(c) for c in q_point)
+    try:
+        point = tuple(Fraction(c) for c in q_point)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    except ZeroDivisionError:
+        raise InputError("point coordinates need nonzero denominators") from None
     if len(point) != q_shape.r:
-        raise ValueError("point has %d coordinates, target has %d parts"
+        raise InputError("point has %d coordinates, target has %d parts"
                          % (len(point), q_shape.r))
     if len(set(point)) != len(point):
-        raise ValueError("target point must have pairwise distinct coordinates")
+        raise InputError("target point must have pairwise distinct coordinates")
     picks = {}
     for gp in gps:
         coords = {("t", a + 1): point[b] for a, b in zip(gp.domain, gp.targets)}

@@ -159,20 +159,87 @@ def test_failed_verification_exit_code(capsys, monkeypatch):
     assert code == 1 and report["verified"] is False
 
 
+INPUT_ERRORS = [
+    (["psi0", "--lambda", "inf,x", "--e", "1"], "invalid literal for int() with base 10: 'x'"),
+    (["psi0", "--lambda", "3", "--e", "1"], "at least one part must be infinite"),
+    (["psi0", "--lambda", "inf,2", "--e", "1"], "parts and weights must have equal length"),
+    (["psi0", "--lambda", "inf", "--e", "0"], "weights must be positive integers"),
+    (["member", "{origin2}", "--poly", "t1+x1"],
+     "membership is defined for polynomials in x-variables"),
+    (["witness", "{circle}", "--lambda", "inf,inf", "--e", "1,1", "--point", "abc"],
+     "Invalid literal for Fraction: 'abc'"),
+    (["witness", "{circle}", "--lambda", "inf,inf", "--e", "1,1", "--point", "1"],
+     "point has 1 coordinates, target has 2 parts"),
+    (["witness", "{circle}", "--lambda", "inf,inf", "--e", "1,1", "--point", "1,1"],
+     "target point must have pairwise distinct coordinates"),
+    (["witness", "{circle}", "--lambda", "inf,inf", "--e", "1,1", "--point", "1/0"],
+     "point coordinates need nonzero denominators"),
+    (["contract-verify", "-n", "0", "-q", "2"], "window size must be at least 1"),
+    (["contract-verify", "-n", "2", "-q", "2,x"], "invalid literal for int() with base 10: 'x'"),
+    (["contract-verify", "-n", "2", "-q", "2,3", "--char", "2"],
+     "positive characteristic requires uniform orders"),
+    (["contract-verify", "-n", "2", "-q", "2,2", "--char", "4"],
+     "order must be a power of the characteristic"),
+    (["contract-verify", "-n", "1", "-q", "2", "--char", "1"],
+     "characteristic must be prime, got 1"),
+    (["spectrum-slice", "{circle}", "--target", "inf;x"],
+     "invalid literal for int() with base 10: 'x'"),
+    (["theta", "{circle}", "--lambda", "inf", "--e", "1,2"],
+     "parts and weights must have equal length"),
+]
+
+
+@pytest.mark.parametrize("argv, message", INPUT_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in INPUT_ERRORS])
+def test_input_errors_exit_2(problem_files, capsys, argv, message):
+    assert main([arg.format(**problem_files) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     import symprime.cli
-    from symprime.combinat import BoundInsufficiencyError
 
     def fail(base):
-        raise BoundInsufficiencyError("boundary obstruction %s dominates no minimal element"
-                                      % (base,))
+        raise ValueError("monomial uses variables outside the order: [('z', 1)]")
 
     monkeypatch.setattr(symprime.cli, "psi0", fail)
     assert main(["psi0", "--lambda", "inf", "--e", "1"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("internal error: boundary obstruction (inf);(1) dominates "
-                            "no minimal element\n")
+    assert captured.err == ("internal error: ValueError: monomial uses variables "
+                            "outside the order: [('z', 1)]\n")
+
+
+@pytest.mark.parametrize("exc", [KeyError("x1"), RuntimeError("lost a pair")], ids=repr)
+def test_any_library_fault_exits_4(problem_files, capsys, monkeypatch, exc):
+    import symprime.cli
+
+    def fail(p, budget):
+        raise exc
+
+    monkeypatch.setattr(symprime.cli, "full_gens", fail)
+    assert main(["gens", problem_files["origin2"]]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: %s: %s\n" % (type(exc).__name__, exc)
+
+
+def test_kernel_fault_while_loading_a_prime_exits_4(problem_files, capsys, monkeypatch):
+    # only a malformed file is an input error; a fault in the saturation
+    # that make_sprime runs is the library's
+    from symprime import sprime
+
+    def fail(I, budget=None):
+        raise ValueError("monomial uses variables outside the order: [('z', 1)]")
+
+    monkeypatch.setattr(sprime, "is_unit_ideal", fail)
+    assert main(["gens", problem_files["origin2"]]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ValueError: monomial uses")
+    assert captured.err.count("\n") == 1
 
 
 def test_parser_is_built_once(problem_files, capsys, monkeypatch):

@@ -6,9 +6,8 @@ import pytest
 
 from symprime import combinat
 from symprime.combinat import (INF, WeightedShape, _rank, box_candidates,
-                               canonicalize, good_pairs, predecessors, psi0,
-                               refinement_pairs, shape, shape_leq,
-                               shape_sort_key, parse_shape_arg)
+                               canonicalize, good_pairs, psi0, refinement_pairs,
+                               shape, shape_leq, shape_sort_key, parse_shape_arg)
 
 try:
     import hypothesis
@@ -83,13 +82,9 @@ BASES = [shape([INF], [1]), shape([INF], [2]), shape([INF], [3]),
 @pytest.mark.parametrize("base", BASES, ids=str)
 def test_psi0_invariants(base):
     out = psi0(base)
-    finite_cap = 1 + base.finite_sum()
     c = base.inf_weight_sum()
-    # obstructions, minimal via the predecessor certificate
     for s in out:
         assert not shape_leq(s, base)
-        for t in predecessors(s, finite_cap):
-            assert shape_leq(t, base)
     # pairwise antichain
     for s in out:
         for t in out:
@@ -187,11 +182,52 @@ CONTAIN_CLI_TARGETS = ("inf;1", "inf;2", "inf;3", "inf,inf;1,1", "inf,inf;2,2",
                        "inf,inf;2,1", "inf,1;2,1", "inf,1;1,1")
 
 
-@pytest.mark.parametrize("text", CONTAIN_CLI_TARGETS + ("inf,inf,inf;1,1,1",
-                                                       "inf,1,2;2,1,1"))
+# BASES and the contain_cli targets ("inf,2;1,1" is the one base the
+# targets lack), plus two three-part bases
+PSI0_BASES = CONTAIN_CLI_TARGETS + ("inf,2;1,1", "inf,inf,inf;1,1,1", "inf,1,2;2,1,1")
+
+
+@pytest.mark.parametrize("text", PSI0_BASES)
 def test_psi0_matches_all_pairs_minimality(text):
     base = parse_shape_arg(*text.split(";"))
     assert psi0(base) == _psi0_all_pairs(base)
+
+
+def _check_minimal_in_larger_box(base):
+    """psi0(base) is the set of minimal obstructions of the box with one
+    more part, and finite sizes and weights one above psi0's caps.
+
+    An antichain of obstructions is that set exactly when every obstruction
+    of the box lies above one of its members: a minimal obstruction then
+    lies above a member and so equals it, and a member with an obstruction
+    below it would lie above another member.
+    """
+    out = psi0(base)
+    obstructions = [s for s in box_candidates(base.r + 2, 2 + base.finite_sum(),
+                                              2 + base.inf_weight_sum())
+                    if not shape_leq(s, base)]
+    assert set(out) <= set(obstructions)
+    assert all(s == t or not shape_leq(s, t) for s in out for t in out)
+    for s in obstructions:
+        assert any(shape_leq(m, s) for m in out), (str(base), str(s))
+
+
+@pytest.mark.parametrize("text", PSI0_BASES + ("inf,inf,2;3,2,1",))
+def test_psi0_box_agrees_with_a_larger_box(text):
+    _check_minimal_in_larger_box(parse_shape_arg(*text.split(";")))
+
+
+@pytest.mark.skipif(hypothesis is None, reason="needs hypothesis")
+def test_psi0_box_agrees_with_a_larger_box_on_random_bases():
+    parts = [(INF, w) for w in range(1, 4)] + [(p, 1) for p in range(1, 4)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.sampled_from(parts), min_size=1, max_size=3))
+    def check(pws):
+        hypothesis.assume(any(p == INF for p, _ in pws))
+        _check_minimal_in_larger_box(shape([p for p, _ in pws], [w for _, w in pws]))
+
+    check()
 
 
 def test_psi0_golden_three_parts():
@@ -211,7 +247,7 @@ def test_psi0_shape_leq_calls(monkeypatch):
     monkeypatch.setattr(combinat, "shape_leq", counting)
     psi0(shape([INF, INF], [2, 2]))
     # testing every obstruction against every other one took 753 calls
-    assert len(calls) == 249
+    assert len(calls) == 165
 
 
 def test_refinement_pairs_examples():

@@ -2,13 +2,15 @@
 
 import pytest
 
-from symprime.combinat import INF, shape
-from symprime.generators import (dedup_sorted, full_gens, gens_G, gens_H,
+from symprime.combinat import INF, box_candidates, shape, shape_leq, shape_sort_key
+from symprime.generators import (_phi_targets, dedup_sorted, full_gens, gens_G, gens_H,
                                  prune_translate_multiples, sign_normalize,
                                  translate_divides, verify_gens)
 from symprime.poly import discriminant, parse
 from symprime.sprime import make_sprime, member
+from symprime.theta import theta
 from symprime.witness import build_h
+from test_acceptance import _pool
 
 
 D3 = sign_normalize(discriminant([1, 2, 3]))
@@ -169,3 +171,18 @@ def test_build_h_witness_is_a_locus_generator(prime_pool, gens_H_of, p_key, q_ke
     p, q = prime_pool[p_key], prime_pool[q_key]
     h = sign_normalize(build_h(p, q.shape, point))
     assert h in gens_H_of(p_key)
+
+
+POOL = _pool()
+
+
+@pytest.mark.parametrize("key", sorted(POOL))
+def test_phi_targets_match_the_intersected_closure(key):
+    # _phi_targets asks only whether every good pair's component is
+    # nonzero; theta intersects the components and asks the same of that
+    p = POOL[key]
+    lam = p.shape
+    expected = [cand for cand in box_candidates(lam.r, 1 + lam.finite_sum(),
+                                                lam.inf_weight_sum())
+                if shape_leq(cand, lam) and theta(p, cand).is_proper()]
+    assert _phi_targets(p) == sorted(expected, key=shape_sort_key)

@@ -8,7 +8,7 @@ from symprime.contractlab import contract_ideal
 from symprime.groebner import (DEFAULT_BUDGET, Budget, BudgetExceededError,
                                Ideal, MonomialOrder, eliminate, groebner_basis,
                                ideal_contains, ideal_equal, ideal_intersect,
-                               is_unit_ideal, normal_form, radical_member,
+                               ideal_member, is_unit_ideal, normal_form, radical_member,
                                saturate, spoly, variety_contained)
 from symprime.poly import (GF, Poly, QQ, evar, mono_degree, mono_div,
                            mono_divides, parse, tvar, xvar)
@@ -136,6 +136,28 @@ def test_ideal_contains_reuses_the_basis_cache(buchberger_calls):
     assert not ideal_contains(circle, Ideal([parse("t3")]))
     assert ideal_contains(Ideal([parse("t1")]), Ideal([parse("t1*t3")]))
     assert len(calls) == 2
+
+
+def test_ideal_member_reuses_the_default_order(monkeypatch):
+    # an ideal builds its default order once, and a member test whose
+    # polynomial stays in the ambient reuses it
+    circle = Ideal([parse("t1^2+t2^2-1")])
+    f = parse("(t1^2+t2^2-1)*t1")
+    assert ideal_member(f, circle)
+    built = []
+    init = MonomialOrder.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(MonomialOrder, "__init__", counting)
+    for _ in range(3):
+        assert ideal_member(f, circle)
+        assert not ideal_member(parse("t1"), circle)
+    assert built == []
+    # a polynomial outside the ambient needs the wider order, once per call
+    assert not ideal_member(parse("t3"), circle)
+    assert len(built) == 1
 
 
 def test_variety_contained_examples():
