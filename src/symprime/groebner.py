@@ -8,20 +8,23 @@ it came from, and the pair of least sugar is reduced next, ties going to
 the least lcm.  Every potentially unbounded computation is guarded by a
 resource budget and fails loudly instead of looping.
 
-Polynomials and `MonomialOrder.key` speak in sorted ((family, idx), exp)
-tuples.  `_buchberger` and `normal_form` pack every monomial into one int
-on entry (`_Layout`: degree, exponents and the order's key fields, each a
-fixed-width field with a guard bit, the key fields on top) and unpack on
-exit, so inside the kernel (after Monagan and Pearce, CASC 2007) int `<`
-is the order, `+` and `-` multiply and divide, and one mask tests
-divisibility.  Division works in place on a term dict: each step pops the
-leading term, found by `max` over the ints, and adds the matching
-multiple of the divisor's other terms.  `_buchberger` keeps the head
-(lm, lc, other terms) of every basis element and divides S-polynomials
-and the final interreduction by those heads.
+Polynomials speak in sorted ((family, idx), exp) tuples.  An order is one
+table of per-variable runs of key fields (`MonomialOrder`), which
+`MonomialOrder.key` sums into an int tuple.  `_buchberger` and
+`normal_form` pack every monomial into one int on entry (`_Layout`:
+degree, exponents and the same key fields, each a fixed-width field with
+a guard bit, the key fields on top) and unpack on exit, so inside the
+kernel (after Monagan and Pearce, CASC 2007) int `<` is the order, `+`
+and `-` multiply and divide, and one mask tests divisibility.  Division
+works in place on a term dict: each step pops the leading term, found by
+`max` over the ints, and adds the matching multiple of the divisor's
+other terms.  `_buchberger` keeps the head (lm, lc, other terms) of every
+basis element and divides S-polynomials and the final interreduction by
+those heads.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .poly import Poly, QQ, mono_div, mono_lcm, var_key, zvar
 
@@ -48,33 +51,30 @@ class MonomialOrder:
     putting the variables to eliminate in the first block yields an
     elimination order.
 
-    `key` maps a monomial to one flat int tuple in a single pass: the
-    constructor assigns each variable the column its exponent is added to
-    and the column it is subtracted from.
+    The order is one table: each variable maps to the run [lo, hi) of
+    nonnegative key fields its exponent adds to, field 0 most significant.
+    A lex block gives one field per variable.  A graded block b_1..b_m
+    gives the prefix sums S_m, ..., S_1 with S_k = e(b_1) + ... + e(b_k),
+    since comparing those is comparing (degree, -e(b_m), ..., -e(b_1)).
+    A variable listed twice counts in its first place only.  `key` and the
+    kernel's packed layout (`_Layout`) both read this table.
     """
 
-    __slots__ = ("kind", "blocks", "_cols", "_width")
+    __slots__ = ("kind", "blocks", "_runs", "_width")
 
     def __init__(self, kind, blocks):
         self.kind = kind
         self.blocks = tuple(tuple(b) for b in blocks)
-        # variable -> (column it adds its exponent to, column it subtracts
-        # it from); a variable listed twice counts in its first place only
-        cols, width = {}, 0
+        runs, width = {}, 0
         for block in self.blocks:
-            if kind == "lex":
-                for i, v in enumerate(block):
-                    if v not in cols:
-                        cols[v] = (width + i, -1)
-                width += len(block)
-            else:
-                for i, v in enumerate(block):
-                    if v not in cols:
-                        cols[v] = (width, width + len(block) - i)
-                width += 1 + len(block)
-        self._cols = cols
-        # lex subtracts into one trailing column, which only ever ties
-        self._width = width + (kind == "lex")
+            block = [v for v in dict.fromkeys(block) if v not in runs]
+            m = len(block)
+            for i, v in enumerate(block):  # b_(i+1) is in S_m..S_(i+1)
+                runs[v] = ((width + i, width + i + 1) if kind == "lex"
+                           else (width, width + m - i))
+            width += m
+        self._runs = runs
+        self._width = width
 
     @classmethod
     def grevlex(cls, variables):
@@ -88,29 +88,21 @@ class MonomialOrder:
     def block(cls, first, rest):
         return cls("block", (_sig(first), _sig(rest)))
 
-    def variables(self):
-        return tuple(v for b in self.blocks for v in b)
-
     def key(self, mono):
-        """Flat int tuple that sorts monomials in this order.
-
-        A lex block contributes its exponents; a graded block contributes
-        its degree, then its negated exponents last variable first.  Blocks
-        have fixed widths, so the flat tuple sorts as the nested per-block
-        tuples would.
-        """
-        out = [0] * self._width
-        cols = self._cols
+        """The key fields of a monomial, an int tuple that sorts monomials
+        in this order: each exponent is added over its variable's run
+        (at the run's start and taken off past its end, then summed)."""
+        out = [0] * (self._width + 1)
+        runs = self._runs
         try:
             for v, k in mono:
-                plus, minus = cols[v]
-                out[plus] += k
-                out[minus] -= k
+                lo, hi = runs[v]
+                out[lo] += k
+                out[hi] -= k
         except KeyError:
-            raise ValueError("monomial uses variables outside the order: %r"
-                             % sorted((v for v, _ in mono if v not in cols),
-                                      key=var_key)) from None
-        return tuple(out)
+            raise _outside(mono, runs) from None
+        out.pop()
+        return tuple(accumulate(out))
 
     def __eq__(self, other):
         return (isinstance(other, MonomialOrder)
@@ -127,16 +119,20 @@ def _sig(variables):
     return tuple(sorted(variables, key=var_key))
 
 
+def _outside(mono, known):
+    """The error for a monomial with variables not in `known`."""
+    return ValueError("monomial uses variables outside the order: %r"
+                      % sorted((v for v, _ in mono if v not in known), key=var_key))
+
+
 class _Layout:
     """Monomials of one order packed into one int each, for the kernel.
 
     Each field is `width` bits plus a guard bit on top.  From least to
     most significant: the total degree; one exponent per variable in
-    `var_key` order; then the order's key fields, first block most
-    significant.  A graded block b_1..b_m contributes the prefix sums
-    S_k = e(b_1) + ... + e(b_k) with S_m on top, since comparing
-    (S_m, ..., S_1) is comparing grevlex's (degree, -e(b_m), ..., -e(b_1));
-    a lex block contributes its exponents, first variable on top.
+    `var_key` order; then the order's key fields (`MonomialOrder`), key
+    field 0 on top.  A variable's unit is 1 in the degree field, 1 in its
+    exponent field and 1 in each key field of its run.
 
     Every field is a nonnegative linear function of the exponents, so as
     long as no field overflows: int `<` is the order, the product of
@@ -160,34 +156,21 @@ class _Layout:
     def __init__(self, order, bound):
         w = max(1, (3 * bound).bit_length())
         f = w + 1
-        variables = sorted(set(order.variables()), key=var_key)
+        runs = order._runs
+        variables = sorted(runs, key=var_key)
         n = len(variables)
-        units = {v: 1 | 1 << f * (i + 1) for i, v in enumerate(variables)}
-        # a variable listed twice counts in its first place only
-        seen, blocks = set(), []
-        for block in order.blocks:
-            counted = []
-            for v in block:
-                if v not in seen:
-                    seen.add(v)
-                    counted.append(v)
-            blocks.append(counted)
-        base = n + 1
-        for block in reversed(blocks):
-            m = len(block)
-            if order.kind == "lex":
-                for k, v in enumerate(block):
-                    units[v] += 1 << f * (base + m - 1 - k)
-            else:
-                ones = ((1 << f * m) - 1) // ((1 << f) - 1)
-                for k, v in enumerate(block):  # b_(k+1) is in S_(k+1)..S_m
-                    units[v] += ones >> f * k << f * (base + k)
-            base += m
-        repunit = ((1 << f * base) - 1) // ((1 << f) - 1)
+        top = n + order._width  # the packed field holding key field 0
+        repunit = ((1 << f * (top + 1)) - 1) // ((1 << f) - 1)
+        # key fields lo..hi-1 are packed fields top-hi+1..top-lo
+        units = {}
+        for i, v in enumerate(variables):
+            lo, hi = runs[v]
+            units[v] = (1 | 1 << f * (i + 1)
+                        | repunit >> f * (top + 1 - hi + lo) << f * (top + 1 - hi))
         self._width = w
         self.mask = (1 << w) - 1
         self.guard = repunit << w
-        exps = (repunit >> f * (base - n)) << f
+        exps = (repunit >> f * (top + 1 - n)) << f
         self._exp_mask = exps * self.mask
         self._exp_guard = exps << w
         self.fields = tuple((v, f * (i + 1)) for i, v in enumerate(variables))
@@ -205,9 +188,7 @@ class _Layout:
                     p += units[v] * k
                     d += k
             except KeyError:
-                raise ValueError("monomial uses variables outside the order: %r"
-                                 % sorted((v for v, _ in m if v not in units),
-                                          key=var_key)) from None
+                raise _outside(m, units) from None
             out.append((p, c))
             if d > top:
                 top = d

@@ -410,7 +410,7 @@ class Poly:
     def __str__(self):
         if not self.terms:
             return "0"
-        pieces = []
+        words = []
         for m in sorted(self.terms, key=canonical_key, reverse=True):
             c = self.terms[m]
             if self.field.char == 0 and c < 0:
@@ -423,12 +423,10 @@ class Poly:
                 body = mono_str(m)
             else:
                 body = str(mag) + "*" + mono_str(m)
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += " %s %s" % (sign, body)
-        return out
+            words += (sign, body)
+        # "s1 b1 s2 b2 ...": the leading sign is shown only when it is "-"
+        out = " ".join(words)
+        return out[2:] if out[0] == "+" else "-" + out[2:]
 
     def __repr__(self):
         return "Poly(%s)" % self

@@ -31,7 +31,6 @@ class SPrimeData:
 
     shape: WeightedShape
     z_ideal: Ideal
-    assume_irreducible: bool = True
 
     def to_json_obj(self):
         obj = self.shape.to_json_obj()
@@ -39,20 +38,20 @@ class SPrimeData:
         return obj
 
     @classmethod
-    def from_json_obj(cls, obj, assume_irreducible=True):
+    def from_json_obj(cls, obj):
         try:
             parts = [INF if p == "inf" else int(p) for p in obj["lambda"]]
             weights = [int(w) for w in obj["e"]]
             gens = [parse(s) for s in obj.get("Z", [])]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(str(exc)) from None
-        return make_sprime(parts, weights, gens, assume_irreducible)
+        return make_sprime(parts, weights, gens)
 
     def __str__(self):
         return "%s Z=<%s>" % (self.shape, ", ".join(str(g) for g in self.z_ideal.gens))
 
 
-def make_sprime(parts, weights, gens, assume_irreducible=True):
+def make_sprime(parts, weights, gens):
     """Canonicalize the data, permuting t-variables of the ideal to match."""
     if isinstance(gens, Ideal):
         gens = gens.gens
@@ -65,11 +64,7 @@ def make_sprime(parts, weights, gens, assume_irreducible=True):
     # old position perm[k] moves to canonical position k
     rename = {tvar(perm[k] + 1): Poly.variable(tvar(k + 1), QQ) for k in range(r)}
     moved = tuple(g.substitute(rename) for g in gens)
-    data = SPrimeData(shape, Ideal(moved, ambient=tuple(tvar(i + 1) for i in range(r))),
-                      assume_irreducible)
-    if not assume_irreducible:
-        warnings.warn("configuration variety not asserted irreducible; "
-                      "prime-ness of the data is not guaranteed")
+    data = SPrimeData(shape, Ideal(moved, ambient=tuple(tvar(i + 1) for i in range(r))))
     if is_unit_ideal(saturated_ideal(data)):
         warnings.warn("configuration locus is empty; the data describes the unit ideal")
     return data
@@ -78,7 +73,7 @@ def make_sprime(parts, weights, gens, assume_irreducible=True):
 def radical_of(p):
     """Same shape and variety with all weights reset to 1."""
     shape = WeightedShape(p.shape.parts, tuple(1 for _ in p.shape.weights))
-    return SPrimeData(shape, p.z_ideal, p.assume_irreducible)
+    return SPrimeData(shape, p.z_ideal)
 
 
 @lru_cache(maxsize=None)

@@ -140,11 +140,23 @@ def _h3_factors(p, layout, u_choices, budget=None):
         for trace in compatible_partitions(gp, layout, p.shape, budget))
 
 
-def _times(a, b, budget):
-    """a * b, unless its degree would exceed the budget's max_degree."""
-    degree = a.degree() + b.degree()
+def _h12_degree(layout):
+    """Degree of h1*h2, read off the layout without expanding either."""
+    h1 = sum(len(sub) * (len(sub) - 1) // 2
+             for subs in layout.sub_blocks for sub in subs)
+    h2 = layout.N * sum(len(a) * len(b)
+                        for a, b in itertools.combinations(layout.blocks, 2))
+    return h1 + h2
+
+
+def _check_degree(degree, budget):
     if degree > budget.max_degree:
         raise BudgetExceededError("witness degree %d exceeds budget" % degree)
+
+
+def _times(a, b, budget):
+    """a * b, unless its degree would exceed the budget's max_degree."""
+    _check_degree(a.degree() + b.degree(), budget)
     return a * b
 
 
@@ -160,7 +172,8 @@ def witnesses(p, target, locus_gens, budget=None):
     """
     budget = budget or DEFAULT_BUDGET
     layout = WitnessLayout.build(p.shape, target)
-    h12 = _times(_h1(layout), _h2(layout), budget)
+    _check_degree(_h12_degree(layout), budget)
+    h12 = _h1(layout) * _h2(layout)
     for picks in itertools.product(*locus_gens.values()):
         h = h12
         for factor in _h3_factors(p, layout, dict(zip(locus_gens, picks)), budget):

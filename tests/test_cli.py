@@ -303,6 +303,23 @@ def test_max_degree_bounds_built_witnesses(problem_files, capsys, tmp_path):
     assert "budget exhausted: witness degree 11 exceeds budget" in capsys.readouterr().err
 
 
+def test_witness_degree_budget_fires_before_expanding(capsys, tmp_path, monkeypatch):
+    # h1*h2 has degree 4 + 5*16 = 84; h2 alone would expand to a huge
+    # polynomial, so the budget must be checked before it is built
+    import symprime.witness as witness
+
+    def unbuilt(*args):
+        raise AssertionError("h2 was expanded")
+    monkeypatch.setattr(witness, "_h2", unbuilt)
+    path = tmp_path / "fin31.json"
+    path.write_text(json.dumps({"lambda": ["inf", 1], "e": [3, 1], "Z": ["t1"]}))
+    code = main(["witness", str(path), "--lambda", "inf,inf", "--e", "2,2",
+                 "--max-degree", "60"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "budget exhausted: witness degree 84 exceeds budget" in captured.err
+
+
 def test_version_embedded(problem_files, capsys):
     import symprime
     _, report = run(capsys, "psi0", "--lambda", "inf", "--e", "1")

@@ -205,8 +205,13 @@ def test_packed_monomials_follow_the_order(kind, monos, extra, split, slack):
     order = _order(kind, {v for m in monos for v, _ in m} | extra, split)
     layout = _Layout(order, max(sum(k for _, k in m) for m in monos) + slack)
     packed = {m: _pack(layout, m) for m in monos}
+    f = layout._width + 1  # bits per field, guard included
+    key_shifts = [f * (len(layout.fields) + order._width - j)
+                  for j in range(order._width)]
     for m, p in packed.items():
         assert layout.unpack(p) == m
+        # the top fields, most significant first, are the order's key
+        assert tuple(p >> s & layout.mask for s in key_shifts) == order.key(m)
     assert sorted(monos, key=packed.__getitem__) == sorted(monos, key=order.key)
     for a in monos:
         for b in monos:

@@ -33,10 +33,6 @@ def test_make_sprime_warnings():
         warnings.simplefilter("always")
         make_sprime([INF, INF], [1, 1], [parse("t1-t2")])
     assert any("empty" in str(w.message) for w in log)
-    with warnings.catch_warnings(record=True) as log:
-        warnings.simplefilter("always")
-        make_sprime([INF], [1], [parse("t1^2-2")], assume_irreducible=False)
-    assert any("irreducible" in str(w.message) for w in log)
 
 
 def test_radical_of():
