@@ -9,20 +9,26 @@ placement of its variables into the parts, truncating jet directions at the
 part weights, and testing each surviving coefficient on the locus.  The
 placements are walked as a tree, one variable per level: x_i -> t_alpha + e_i
 is substituted into the parent's expansion, so a shared prefix of placements
-is expanded once and terms cancel at the level where they meet.
+is expanded once and terms cancel at the level where they meet.  The
+expansion runs on ints (f's coefficients over their common denominator, or
+unreduced residues mod p), which are divided back out only at the leaves.
+Parts of equal size and weight whose exchange fixes the saturated
+configuration ideal give the same prime, so placements that such exchanges
+relate get the same verdict, and `member` walks one placement per orbit.
 """
 
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import INF, WeightedShape, canonicalize
 from .groebner import (DEFAULT_BUDGET, BudgetExceededError, Ideal,
                        ideal_member, is_unit_ideal, radical_member, saturate)
 from .poly import (InputError, Poly, QQ, canonical_lead, discriminant, evar,
-                   parse, tvar)
+                   parse, tvar, xvar)
 
 
 @dataclass(frozen=True)
@@ -141,62 +147,76 @@ def _unpack_t(packed, width):
 class _Jets:
     """Jet states of one polynomial f during the substitution x_i -> t + e_i.
 
-    A state maps packed keys to nonzero coefficients.  A key has one bit
-    field of `width` bits per part (t-exponents, part alpha in field
-    alpha - 1), then one per window variable for its e-exponent, then one
-    per window variable for the x-exponent still to be substituted.  No
-    field exceeds deg f, so `width` bits hold it.
+    A state maps packed keys to nonzero int coefficients: f's coefficients
+    times their common denominator `den` over QQ, unreduced residues over
+    GF(p).  A key has one bit field of `width` bits per part (t-exponents,
+    part alpha in field alpha - 1), then one per window variable for its
+    e-exponent, then one per window variable for the x-exponent still to be
+    substituted.  No field exceeds deg f, so `width` bits hold it.
     """
 
     def __init__(self, f, xs, r):
         self.field = f.field
         self.xs = xs
-        self.width = w = max(f.degree(), 1).bit_length()
+        terms = f.terms
+        self.deg = deg = max(f.degree(), 1)
+        self.width = w = deg.bit_length()
         self.e_base = r * w
         self.x_base = (r + len(xs)) * w
-        level = {i: ell for ell, i in enumerate(xs)}
-        self.root = {sum(k << (self.x_base + w * level[v[1]]) for v, k in mono): c
-                     for mono, c in f.terms.items()}
+        shift = {xvar(i): self.x_base + w * ell for ell, i in enumerate(xs)}
+        self.den = den = 1 if f.field.char else math.lcm(
+            *(c.denominator for c in terms.values()))
+        self.root = root = {}
+        for mono, c in terms.items():
+            key = 0
+            for v, k in mono:
+                key += k << shift[v]
+            root[key] = c if den == 1 else c.numerator * (den // c.denominator)
+        self._binomials = {}
         self._t_monos = {}
         self._e_monos = {}
 
     def step(self, state, level, alpha, weight):
         """State after substituting x_xs[level] -> t_alpha + e, truncated at
         e^weight.  Terms that meet are summed, and cancel, here."""
-        add, mul = self.field.add, self.field.mul
+        rows = self._binomials.get(weight)
+        if rows is None:
+            # rows[k] = (C(k, 1), ..., C(k, j)) for j < weight, j <= k <= deg f
+            rows = self._binomials[weight] = [
+                tuple(math.comb(k, j) for j in range(1, min(k + 1, weight)))
+                for k in range(self.deg + 1)]
         w = self.width
         x_shift = self.x_base + w * level
         t_one = 1 << (w * (alpha - 1))
         shift = (1 << (self.e_base + w * level)) - t_one
         mask = (1 << w) - 1
-        comb = math.comb
         out = {}
         get = out.get
         for key, c in state.items():
             k = (key >> x_shift) & mask
             # x^k contributes C(k,j) * t_alpha^(k-j) * e^j for each j < weight
             key += k * t_one - (k << x_shift)
-            for j in range(k + 1 if k < weight else weight):
-                val = mul(c, comb(k, j)) if j else c
-                if val:
-                    old = get(key)
-                    if old is None:
-                        out[key] = val
-                    else:
-                        s = add(old, val)
-                        if s:
-                            out[key] = s
-                        else:
-                            del out[key]
+            out[key] = get(key, 0) + c
+            for b in rows[k]:
                 key += shift
+                out[key] = get(key, 0) + b * c
+        # terms that cancelled are dropped; most steps have none
+        if 0 in out.values():
+            return {key: c for key, c in out.items() if c}
         return out
 
     def coefficients(self, state):
-        """{e-monomial: t-polynomial} of a state with every variable placed."""
+        """{e-monomial: t-polynomial} of a state with every variable placed:
+        the ints divided by `den` over QQ, reduced mod p over GF(p)."""
         w, e_base, xs = self.width, self.e_base, self.xs
         t_mask = (1 << e_base) - 1
         e_mask = (1 << w) - 1
         t_monos, e_monos = self._t_monos, self._e_monos
+        char, den = self.field.char, self.den
+        if char:
+            state = {key: c % char for key, c in state.items() if c % char}
+        elif den != 1:
+            state = {key: QQ.coerce(Fraction(c, den)) for key, c in state.items()}
         out = {}
         for key, c in state.items():
             packed, e_packed = key & t_mask, key >> e_base
@@ -227,21 +247,76 @@ def truncated_substitution(f, assign, weights):
     return jets.coefficients(state)
 
 
-def placement_jets(f, shape):
+def part_classes(p, budget=None):
+    """Classes of parts that p's symmetry may exchange, as ascending tuples
+    of part positions (1-based), in order of their least positions.
+
+    Parts i and j join when they have equal (size, weight) and swapping
+    t_i and t_j fixes saturated_ideal(p).  Each generator of that ideal,
+    swapped, is tested for membership in it: one-sided containment is
+    enough, because the swap is an involution.  A part joins a class when
+    its swap with the class's least part fixes the ideal; the transpositions
+    that do so generate the product of the symmetric groups on the classes,
+    and every element of that group fixes the ideal.  Computed once per
+    prime and kept on p.
+    """
+    classes = p.__dict__.get("_part_classes")
+    if classes is not None:
+        return classes
+    sat = saturated_ideal(p)
+    kinds = tuple(zip(p.shape.parts, p.shape.weights))
+
+    def swap_fixes(a, b):
+        swap = {tvar(a): Poly.variable(tvar(b), sat.field),
+                tvar(b): Poly.variable(tvar(a), sat.field)}
+        return all(ideal_member(g.substitute(swap), sat, budget) for g in sat.gens)
+
+    joined = []
+    for b in range(1, p.shape.r + 1):
+        for cls in joined:
+            if kinds[cls[0] - 1] == kinds[b - 1] and swap_fixes(cls[0], b):
+                cls.append(b)
+                break
+        else:
+            joined.append([b])
+    classes = tuple(map(tuple, joined))
+    # p is a frozen dataclass; the classes are stored the way
+    # functools.cached_property stores its value
+    p.__dict__["_part_classes"] = classes
+    return classes
+
+
+def placement_jets(f, shape, classes=()):
     """Yield (assign, truncated_substitution(f, assign, shape.weights)) for
-    every assign in assignments(xs, shape), in that order, xs being f's
-    window.
+    one placement per orbit of the group that permutes each class of
+    `classes` (tuples of part positions, as from `part_classes`), in
+    assignments(xs, shape) order, xs being f's window.  Without classes
+    every placement is its own orbit, so every placement of `assignments`
+    is yielded.
 
     The placements form a tree whose level l places the l-th window
     variable.  Each node expands its parent's state by one variable, so a
     placement prefix is expanded once for all the placements below it, and
     terms cancel at the level where they meet.  Siblings share their
     parent's state and never change it; a part full to its capacity gets
-    no further variable.
+    no further variable.  A part is opened only when the member of its
+    class before it is already in use (restricted growth): a class's parts
+    are then used in order of first use, which picks exactly one placement
+    of each orbit, the first in `assignments` order.  The parts of a class
+    have the same size, so the picked placement keeps the capacities.
     """
-    xs = _x_window(f)
+    return _walk(f, _x_window(f), shape, classes)
+
+
+def _walk(f, xs, shape, classes):
+    """`placement_jets` over the window xs, which the caller has computed."""
     r, weights = shape.r, shape.weights
-    room = [p if p != INF else len(xs) for p in shape.parts]
+    caps = [p if p != INF else len(xs) for p in shape.parts]
+    before = [None] * r     # part index -> index of its class member before it
+    for cls in classes:
+        for b, a in zip(cls, cls[1:]):
+            before[a - 1] = b - 1
+    used = [0] * r
     jets = _Jets(f, xs, r)
     path = []
 
@@ -250,13 +325,14 @@ def placement_jets(f, shape):
         if level == len(xs):
             yield dict(zip(xs, path)), jets.coefficients(state)
             return
-        for alpha in range(1, r + 1):
-            if room[alpha - 1]:
-                room[alpha - 1] -= 1
-                path.append(alpha)
-                yield from descend(jets.step(state, level, alpha, weights[alpha - 1]))
+        for a in range(r):
+            b = before[a]
+            if used[a] < caps[a] and (b is None or used[b]):
+                used[a] += 1
+                path.append(a + 1)
+                yield from descend(jets.step(state, level, a + 1, weights[a]))
                 path.pop()
-                room[alpha - 1] += 1
+                used[a] -= 1
 
     return descend(jets.root)
 
@@ -266,9 +342,17 @@ def member(f, p, budget=None):
 
     Every admissible placement of f's variables into the parts must send f
     into the jet ideal: after truncation, each coefficient polynomial has to
-    vanish on the configuration locus.  The placements come from
-    `placement_jets` in `assignments` order, and the first coefficient that
-    does not vanish ends the walk.
+    vanish on the configuration locus.  A permutation of parts of equal
+    (size, weight) that fixes the locus's saturated ideal maps the prime to
+    itself: it turns the coefficients of one placement into those of the
+    other by renaming the t-variables, and a coefficient lies in the ideal
+    exactly when its renaming does.  `part_classes` proves this for a swap
+    by testing the swapped generators alone, since a swap is its own
+    inverse.  The walk of `placement_jets` therefore visits one placement
+    per orbit of the group the classes generate (the first in
+    `assignments` order, where a class's parts are used in order), and the
+    first coefficient that does not vanish ends it.  The `r ** len(xs)`
+    budget guard still counts every placement.
     """
     budget = budget or DEFAULT_BUDGET
     if f.is_zero():
@@ -281,7 +365,7 @@ def member(f, p, budget=None):
     if count > budget.max_reductions:
         raise BudgetExceededError("placement space of size %d exceeds budget" % count)
     verdicts = {}
-    for _assign, coeffs in placement_jets(f, p.shape):
+    for _assign, coeffs in _walk(f, xs, p.shape, part_classes(p, budget)):
         for tpoly in coeffs.values():
             keyp = _scale_normalize(tpoly)
             verdict = verdicts.get(keyp)

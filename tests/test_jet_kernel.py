@@ -7,7 +7,11 @@ Over GF(p) the divided derivative is taken over QQ on integer lifts of the
 coefficients (it stays integral) and reduced mod p afterwards.
 
 placement_jets(f, shape) walks the tree of placements and yields, for every
-placement of assignments(xs, shape) in order, the same coefficients.
+placement of assignments(xs, shape) in order, the same coefficients; given
+classes of parts, it yields them for the first placement of each orbit of
+the group permuting every class.  The walk runs on ints (f's coefficients
+over their common denominator, unreduced residues over GF(p)), so the cases
+include coprime denominators and binomials of degree above 64.
 """
 
 import itertools
@@ -122,3 +126,85 @@ def test_binomial_divisible_by_the_characteristic():
     assert_no_zeros(coeffs)
     for h, weights in ((f, [3]), (g, [4]), (g, [4, 2])):
         assert_walk_is_taylor(h, shape([INF] * len(weights), weights))
+
+
+def test_integer_step_divides_the_common_denominator_back_out():
+    # coprime denominators: the walk runs on 30 * f and divides 30 back out
+    f = parse("1/2*x1 + 1/3*x2 - 1/5*x1*x2")
+    for assign, weights in (({1: 1, 2: 1}, [2]), ({1: 1, 2: 2}, [2, 3]),
+                            ({1: 2, 2: 1}, [1, 2])):
+        coeffs = truncated_substitution(f, assign, weights)
+        assert coeffs == taylor_coefficients(f, assign, weights)
+        assert_no_zeros(coeffs)
+    assert_walk_is_taylor(f, shape([INF, INF], [2, 3]))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(32003)])
+def test_binomials_beyond_degree_64(field):
+    # C(70, j) for j < 4 comes from a table built up to deg f, not a fixed one
+    f = parse("x1^70 - 3*x1^65*x2 + 2/7*x2^66", QQ)
+    f = Poly.from_terms(f.terms.items(), field)
+    assert f.degree() == 70
+    for assign, weights in (({1: 1, 2: 1}, [4]), ({1: 1, 2: 2}, [3, 2])):
+        coeffs = truncated_substitution(f, assign, weights)
+        assert coeffs == taylor_coefficients(f, assign, weights)
+        assert_no_zeros(coeffs)
+    assert_walk_is_taylor(f, shape([INF, INF], [3, 2]))
+
+
+def orbit_representatives(xs, sh, classes):
+    """The placements of assignments(xs, sh) that come first in their orbit
+    under the group permuting each class, by brute force over the group."""
+    group = [{}]
+    for cls in classes:
+        group = [{**g, **dict(zip(cls, image))}
+                 for g in group for image in itertools.permutations(cls)]
+    out = []
+    for assign in assignments(xs, sh):
+        row = tuple(assign[i] for i in xs)
+        if row == min(tuple(g.get(a, a) for a in row) for g in group):
+            out.append(assign)
+    return out
+
+
+@st.composite
+def class_walks(draw):
+    """A walk case whose parts of equal (size, weight) are split into
+    classes at random: any such classes keep the capacities.  Weights 1
+    and 2 only, so that parts of equal (size, weight) are common."""
+    f, _ = draw(polynomials())
+    r = draw(st.integers(2, 3))
+    parts = [INF] + draw(st.lists(st.sampled_from([INF, 1, 2]), min_size=r - 1,
+                                  max_size=r - 1))
+    sh = shape(parts, draw(st.lists(st.integers(1, 2), min_size=r, max_size=r)))
+    kinds = {}
+    for alpha, kind in enumerate(zip(sh.parts, sh.weights), 1):
+        kinds.setdefault(kind, []).append(alpha)
+    classes = []
+    for run in kinds.values():
+        labels = draw(st.lists(st.integers(0, 2), min_size=len(run), max_size=len(run)))
+        for label in sorted(set(labels)):
+            classes.append(tuple(a for a, lab in zip(run, labels) if lab == label))
+    return f, sh, tuple(sorted(classes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(class_walks())
+def test_walk_with_classes_yields_one_placement_per_orbit(case):
+    f, sh, classes = case
+    leaves = list(placement_jets(f, sh, classes))
+    xs = tuple(sorted({v[1] for v in f.variables()}))
+    assert [assign for assign, _ in leaves] == orbit_representatives(xs, sh, classes)
+    for assign, coeffs in leaves:
+        assert coeffs == taylor_coefficients(f, assign, sh.weights)
+        assert_no_zeros(coeffs)
+
+
+def test_walk_with_a_class_that_skips_a_part():
+    # parts 1 and 3 form a class, part 2 sits between them: placements that
+    # use part 3 before part 1 are skipped, the others kept in order
+    f = parse("x1*x2 + x2^2")
+    sh = shape([INF] * 3, [1, 1, 1])
+    assigns = [tuple(a.values()) for a, _ in placement_jets(f, sh, ((1, 3), (2,)))]
+    assert assigns == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]
+    assert len(list(placement_jets(f, sh))) == 9

@@ -7,11 +7,14 @@ import warnings
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from symprime import sprime
 from symprime.combinat import INF, shape
+from symprime.generators import full_gens
+from symprime.groebner import Budget, BudgetExceededError
 from symprime.poly import Poly, QQ, parse, xvar
 from symprime.sprime import (SPrimeData, assignments, make_sprime, member,
-                             member_via_derivatives, q_ideal_truncated,
-                             radical_of)
+                             member_via_derivatives, part_classes,
+                             q_ideal_truncated, radical_of)
 
 
 def test_make_sprime_canonicalizes():
@@ -212,3 +215,128 @@ def test_member_agrees_with_derivative_oracle_on_random_cases(case):
     # within the count the benchmark's oracle allows
     assume(not f.is_zero() and _derivatives(f, p) <= 100)
     assert member(f, p) == member_via_derivatives(f, p)
+
+
+# Loci of two equal parts t1, t2 that the swap t1 <-> t2 fixes, and loci it
+# does not fix.
+SYMMETRIC_LOCI = [[], ["t1 + t2"], ["t1*t2 - 1"], ["t1^2 + t2^2 - 1"]]
+ASYMMETRIC_LOCI = [["t2 - t1^2"], ["t1 + 2*t2"], ["t1 - 1", "t2 + 1"]]
+
+
+@pytest.mark.parametrize("parts,weights,zgens,classes", [
+    ([INF, INF], [2, 2], [], ((1, 2),)),
+    ([INF, INF], [1, 1], ["t1 + t2"], ((1, 2),)),
+    ([INF, INF], [1, 1], ["t1*t2 - 1"], ((1, 2),)),
+    ([INF, INF], [2, 2], ["t1^2 + t2^2 - 1"], ((1, 2),)),
+    ([INF, INF], [2, 2], ["t2 - t1^2"], ((1,), (2,))),
+    ([INF, INF], [1, 1], ["t1 + 2*t2"], ((1,), (2,))),
+    ([INF, INF], [1, 1], ["t1 - 1", "t2 + 1"], ((1,), (2,))),
+    # equal parts only: unequal weights or sizes never join
+    ([INF, INF], [2, 1], [], ((1,), (2,))),
+    ([INF, 1, 1], [1, 1, 1], [], ((1,), (2, 3))),
+    ([INF, INF, INF], [1, 1, 1], [], ((1, 2, 3),)),
+    ([INF, INF, INF], [1, 1, 1], ["t1 + t2 + t3"], ((1, 2, 3),)),
+    ([INF, INF, INF], [1, 1, 1], ["t1 + t2"], ((1, 2), (3,))),
+    # (1 3) fixes the ideal and (1 2) does not: a class with a gap
+    ([INF, INF, INF], [1, 1, 1], ["t1 + t3 - 2*t2"], ((1, 3), (2,))),
+])
+def test_part_classes(parts, weights, zgens, classes):
+    p = make_sprime(parts, weights, [parse(s) for s in zgens])
+    assert part_classes(p) == classes
+
+
+@st.composite
+def equal_part_cases(draw):
+    """Primes with two equal parts t1, t2 (r <= 3) on a locus that the swap
+    fixes or not, and polynomials that vanish on the locus or the diagonal."""
+    weight = draw(st.integers(1, 2))
+    # a third part equal to the first two makes a class of three on a free
+    # locus; an unequal one moves them in canonical order
+    third = draw(st.sampled_from([None, (INF, weight), (INF, 3 - weight), (1, 1)]))
+    parts, weights = [INF, INF], [weight, weight]
+    if third:
+        parts.append(third[0])
+        weights.append(third[1])
+    z = draw(st.sampled_from(draw(st.sampled_from([SYMMETRIC_LOCI, ASYMMETRIC_LOCI]))))
+    # the locus's equations in x1, x2: they vanish under x1 -> t1, x2 -> t2
+    # but, on an asymmetric locus, not under the swapped placement
+    locus = [g.replace("t", "x") for g in z]
+    swapped = [g.replace("x1", "x0").replace("x2", "x1").replace("x0", "x2") for g in locus]
+    factors = ["1", "x1 - x2", "(x1 - x2)*(x1 - x3)*(x2 - x3)"]
+    for g, h in zip(locus, swapped):
+        factors += [g, "(x1 - x2)*(%s)" % g, "(x1 - x2)*(%s)*(%s)" % (g, h)]
+    n = draw(st.integers(1, 3))
+    monomial = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(
+        lambda exps: tuple((xvar(i + 1), k) for i, k in enumerate(exps) if k))
+    f = Poly.from_terms(draw(st.lists(st.tuples(monomial, st.integers(-3, 3)),
+                                      min_size=1, max_size=3)), QQ)
+    f = f * parse(draw(st.sampled_from(factors))) ** draw(st.integers(1, 2))
+    return f, make_sprime(parts, weights, [parse(s) for s in z])
+
+
+@settings(max_examples=150, deadline=None)
+@given(equal_part_cases())
+def test_pruned_member_agrees_with_derivative_oracle_on_equal_parts(case):
+    f, p = case
+    assume(not f.is_zero() and _derivatives(f, p) <= 100)
+    assert member(f, p) == member_via_derivatives(f, p)
+
+
+def test_asymmetric_locus_keeps_the_swapped_placements():
+    # x1 -> t1, x2 -> t2 sends f onto the parabola's ideal, and so do the
+    # diagonal placements; only x1 -> t2, x2 -> t1 shows f is no member
+    p = make_sprime([INF, INF], [1, 1], [parse("t2 - t1^2")])
+    f = parse("(x1 - x2)*(x2 - x1^2)")
+    assert not member(f, p)
+    assert not member_via_derivatives(f, p)
+    g = parse("(x1 - x2)*(x2 - x1^2)*(x1 - x2^2)")
+    assert member(g, p) and member_via_derivatives(g, p)
+
+
+@pytest.fixture()
+def walk_counts(monkeypatch):
+    """Counts of walk leaves and of `ideal_member` calls made by sprime."""
+    counts = {"leaves": 0, "ideal_member": 0}
+    leaf, ideal_member = sprime._Jets.coefficients, sprime.ideal_member
+
+    def counted_leaf(*args):
+        counts["leaves"] += 1
+        return leaf(*args)
+
+    def counted_member(*args):
+        counts["ideal_member"] += 1
+        return ideal_member(*args)
+    monkeypatch.setattr(sprime._Jets, "coefficients", counted_leaf)
+    monkeypatch.setattr(sprime, "ideal_member", counted_member)
+    return counts
+
+
+def test_circle_walks_one_placement_per_orbit(walk_counts):
+    p = make_sprime([INF, INF], [2, 2], [parse("t1^2+t2^2-1")])
+    gens = full_gens(p)
+    assert len(gens) == 8
+    assert all(member(g, p) for g in gens)
+    # every placement would be 108 leaves and 37 ideal_member calls; one of
+    # the 25 is the class check, made once for the prime
+    assert walk_counts == {"leaves": 54, "ideal_member": 25}
+    assert all(member(g, p) for g in gens)
+    assert walk_counts == {"leaves": 108, "ideal_member": 49}
+
+
+def test_asymmetric_locus_walks_every_placement(walk_counts):
+    p = make_sprime([INF, INF], [2, 2], [parse("t2 - t1^2")])
+    # each of the last two factors vanishes on the locus under one of the
+    # off-diagonal placements; cubed, so do its jets of e-degree up to 2
+    f = parse("(x1 - x2)^3*(x2 - x1^2)^3*(x1 - x2^2)^3")
+    assert part_classes(p) == ((1,), (2,))
+    assert member(f, p) and member_via_derivatives(f, p)
+    assert walk_counts["leaves"] == len(list(assignments((1, 2), p.shape))) == 4
+
+
+def test_placement_budget_counts_every_placement():
+    # the guard still counts r ** len(xs) placements, not orbits
+    p = make_sprime([INF, INF], [2, 2], [parse("t1^2+t2^2-1")])
+    f = parse("x1^2 + x2^2 - 1")
+    with pytest.raises(BudgetExceededError, match="placement space of size 4 exceeds"):
+        member(f, p, Budget(max_reductions=3))
+    assert not member(f, p, Budget(max_reductions=4))
