@@ -133,14 +133,11 @@ def good_pairs(target, source):
     infinite target part's weight to be at most the total weight of the
     infinite source parts mapped onto it.
     """
-    return tuple(_iter_good_pairs(target, source))
-
-
-def _iter_good_pairs(target, source):
     src_idx = range(source.r)
     subsets = sorted(
         (tuple(c) for k in range(1, source.r + 1)
          for c in itertools.combinations(src_idx, k)))
+    out = []
     for domain in subsets:
         for targets in itertools.product(range(target.r), repeat=len(domain)):
             ok = True
@@ -157,7 +154,8 @@ def _iter_good_pairs(target, source):
                         ok = False
                         break
             if ok:
-                yield GoodPair(domain, targets)
+                out.append(GoodPair(domain, targets))
+    return tuple(out)
 
 
 def shape_leq(a, b):
@@ -172,16 +170,14 @@ def shape_leq(a, b):
     same kind and deficit are interchangeable, so a state is the sorted
     tuple of the nonzero (kind, deficit) pairs, kind 0 for infinite parts.
     Each source covers at most one target, so a state with more uncovered
-    targets than sources left fails at once (a.r > b.r among them), as does
-    a state that already failed at the same source.
+    targets than sources left fails at once (a.r > b.r among them).
     """
     src = tuple(zip(b.parts, b.weights))
-    failed = set()
 
     def cover(i, state):
         if not state:
             return True
-        if len(state) > len(src) - i or (i, state) in failed:
+        if len(state) > len(src) - i:
             return False
         size, weight = src[i]
         for k, (kind, deficit) in enumerate(state):
@@ -196,7 +192,6 @@ def shape_leq(a, b):
                 rest = tuple(sorted(rest + ((kind, left),)))
             if cover(i + 1, rest):
                 return True
-        failed.add((i, state))
         return False
 
     return cover(0, tuple(sorted((0, w) if p == INF else (1, p)

@@ -9,9 +9,8 @@ over the good pairs of every admissible target shape.
 import itertools
 
 from .combinat import box_candidates, good_pairs, psi0, shape_leq, shape_sort_key
-from .groebner import Ideal
 from .poly import Poly, canonical_lead, poly_divides, xvar
-from .sprime import SPrimeData, member
+from .sprime import member
 from .theta import projection_ideal, theta_pair
 from .witness import witnesses
 
@@ -29,9 +28,8 @@ def dedup_sorted(polys):
 
 
 def _obstruction_witnesses(shape, budget=None):
-    base = SPrimeData(shape, Ideal((), ambient=()))
     for mu_d in psi0(shape):
-        yield from witnesses(base, mu_d, {}, budget)  # no good pairs against psi0
+        yield from witnesses(shape, mu_d, {}, budget)  # no good pairs against psi0
 
 
 def gens_G(shape, budget=None):
@@ -66,7 +64,8 @@ def _locus_witnesses(p, budget=None):
         for gp in gps:
             if gp.domain not in bases:
                 bases[gp.domain] = projection_ideal(p, gp.domain, budget).gens
-        yield from witnesses(p, target, {gp: bases[gp.domain] for gp in gps}, budget)
+        yield from witnesses(p.shape, target, {gp: bases[gp.domain] for gp in gps},
+                             budget)
 
 
 def gens_H(p, budget=None):

@@ -344,19 +344,14 @@ class Poly:
         f = self.field
         images = {v: (img if isinstance(img, Poly) else Poly.const(img, f))
                   for v, img in mapping.items()}
-        out = Poly.zero(f)
+        terms = []
         for m, c in self.terms.items():
-            piece = Poly.const(c, f)
-            fixed = []
+            piece = Poly(f, {tuple((v, k) for v, k in m if v not in images): c})
             for v, k in m:
                 if v in images:
                     piece = piece * images[v] ** k
-                else:
-                    fixed.append((v, k))
-            if fixed:
-                piece = piece * Poly(f, {tuple(fixed): f.coerce(1)})
-            out = out + piece
-        return out
+            terms.extend(piece.terms.items())
+        return Poly.from_terms(terms, f)
 
     def derivative(self, v):
         """Formal partial derivative with respect to variable v."""

@@ -27,8 +27,7 @@ from functools import lru_cache
 from .combinat import INF, WeightedShape, canonicalize
 from .groebner import (DEFAULT_BUDGET, BudgetExceededError, Ideal,
                        ideal_member, is_unit_ideal, radical_member, saturate)
-from .poly import (InputError, Poly, QQ, canonical_lead, discriminant, evar,
-                   parse, tvar, xvar)
+from .poly import InputError, Poly, QQ, discriminant, evar, parse, tvar, xvar
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,6 @@ def _saturated(z_ideal, r):
 
 def saturated_ideal(p):
     """The configuration ideal saturated at the pairwise difference product."""
-    if p.shape.r == 1:
-        return p.z_ideal
     return _saturated(p.z_ideal, p.shape.r)
 
 
@@ -364,24 +361,12 @@ def member(f, p, budget=None):
     count = p.shape.r ** len(xs)
     if count > budget.max_reductions:
         raise BudgetExceededError("placement space of size %d exceeds budget" % count)
-    verdicts = {}
     for _assign, coeffs in _walk(f, xs, p.shape, part_classes(p, budget)):
         for tpoly in coeffs.values():
-            keyp = _scale_normalize(tpoly)
-            verdict = verdicts.get(keyp)
-            if verdict is None:
-                verdict = (ideal_member(keyp, sat, budget)
-                           or radical_member(keyp, sat, budget))
-                verdicts[keyp] = verdict
-            if not verdict:
+            if not (ideal_member(tpoly, sat, budget)
+                    or radical_member(tpoly, sat, budget)):
                 return False
     return True
-
-
-def _scale_normalize(f):
-    if f.is_zero():
-        return f
-    return f.scale(f.field.inv(f.terms[canonical_lead(f)]))
 
 
 def member_via_derivatives(f, p, budget=None):

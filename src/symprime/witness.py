@@ -112,32 +112,32 @@ def _lift(u, trace, source_r):
     return u.substitute(rename)
 
 
-def _h1(layout, field=QQ):
-    out = Poly.const(1, field)
+def _h1(layout):
+    out = Poly.const(1, QQ)
     for subs in layout.sub_blocks:
         for sub in subs:
-            out = out * discriminant(sub, "x", field)
+            out = out * discriminant(sub, "x", QQ)
     return out
 
 
-def _h2(layout, field=QQ):
-    out = Poly.const(1, field)
+def _h2(layout):
+    out = Poly.const(1, QQ)
     for b1, b2 in itertools.combinations(range(len(layout.blocks)), 2):
         for i in layout.blocks[b1]:
             for j in layout.blocks[b2]:
                 lo, hi = min(i, j), max(i, j)
-                diff = Poly.variable(xvar(lo), field) - Poly.variable(xvar(hi), field)
+                diff = Poly.variable(xvar(lo), QQ) - Poly.variable(xvar(hi), QQ)
                 out = out * diff ** layout.N
     return out
 
 
-def _h3_factors(p, layout, u_choices, budget=None):
+def _h3_factors(source, layout, u_choices, budget=None):
     """Distinct lifted-and-raised locus factors, in order of first
     appearance, over the good pairs keying u_choices."""
     return dict.fromkeys(
-        _lift(u, trace, p.shape.r) ** (len(gp.domain) * p.shape.e_max())
+        _lift(u, trace, source.r) ** (len(gp.domain) * source.e_max())
         for gp, u in u_choices.items()
-        for trace in compatible_partitions(gp, layout, p.shape, budget))
+        for trace in compatible_partitions(gp, layout, source, budget))
 
 
 def _h12_degree(layout):
@@ -160,10 +160,10 @@ def _times(a, b, budget):
     return a * b
 
 
-def witnesses(p, target, locus_gens, budget=None):
-    """Witnesses h1*h2*h3 of p's prime against the target shape.
+def witnesses(source, target, locus_gens, budget=None):
+    """Witnesses h1*h2*h3 of a prime of the source shape against the target.
 
-    locus_gens maps every good pair of the target and p's shape, in
+    locus_gens maps every good pair of the target and source shapes, in
     good_pairs order, to the locus generators it may lift.  One witness is
     yielded per choice of one generator for each good pair: h1*h2 is built
     once and multiplied by the distinct locus factors of that choice.  With
@@ -171,12 +171,13 @@ def witnesses(p, target, locus_gens, budget=None):
     before h1*h2 or a partial product would exceed the budget's max_degree.
     """
     budget = budget or DEFAULT_BUDGET
-    layout = WitnessLayout.build(p.shape, target)
+    layout = WitnessLayout.build(source, target)
     _check_degree(_h12_degree(layout), budget)
     h12 = _h1(layout) * _h2(layout)
     for picks in itertools.product(*locus_gens.values()):
         h = h12
-        for factor in _h3_factors(p, layout, dict(zip(locus_gens, picks)), budget):
+        for factor in _h3_factors(source, layout, dict(zip(locus_gens, picks)),
+                                  budget):
             h = _times(h, factor, budget)
         yield h
 
@@ -193,7 +194,7 @@ def build_h(p, q_shape, q_point=None, budget=None):
     """
     gps = good_pairs(q_shape, p.shape)
     if not gps:
-        return next(witnesses(p, q_shape, {}, budget))
+        return next(witnesses(p.shape, q_shape, {}, budget))
     if q_point is None:
         raise NoWitnessError("a rational target point outside the degeneration "
                              "closure is required when good pairs exist")
@@ -217,7 +218,7 @@ def build_h(p, q_shape, q_point=None, budget=None):
             raise NoWitnessError("point lies in the degeneration closure; "
                                  "containment holds and no witness exists")
         picks[gp] = (chosen,)
-    return next(witnesses(p, q_shape, picks, budget))
+    return next(witnesses(p.shape, q_shape, picks, budget))
 
 
 def certify(h, p, q, budget=None):

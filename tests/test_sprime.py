@@ -316,11 +316,21 @@ def test_circle_walks_one_placement_per_orbit(walk_counts):
     gens = full_gens(p)
     assert len(gens) == 8
     assert all(member(g, p) for g in gens)
-    # every placement would be 108 leaves and 37 ideal_member calls; one of
-    # the 25 is the class check, made once for the prime
-    assert walk_counts == {"leaves": 54, "ideal_member": 25}
+    # every placement would be 108 leaves with 118 coefficients, each one
+    # ideal_member call; the orbits' 54 leaves hold 59, and the 60th call is
+    # the class check, made once for the prime
+    assert walk_counts == {"leaves": 54, "ideal_member": 60}
     assert all(member(g, p) for g in gens)
-    assert walk_counts == {"leaves": 108, "ideal_member": 49}
+    assert walk_counts == {"leaves": 108, "ideal_member": 119}
+
+
+@pytest.mark.parametrize("gens", [[], ["t1^2 - 2"]])
+def test_one_part_prime_is_its_own_saturation(gens):
+    # the discriminant of one part is the constant 1, at which saturation
+    # returns the ideal itself
+    sprime._saturated.cache_clear()
+    p = make_sprime([INF], [2], [parse(g) for g in gens])
+    assert sprime.saturated_ideal(p) is p.z_ideal
 
 
 def test_asymmetric_locus_walks_every_placement(walk_counts):
