@@ -10,21 +10,33 @@ resource budget and fails loudly instead of looping.
 
 Polynomials speak in sorted ((family, idx), exp) tuples.  An order is one
 table of per-variable runs of key fields (`MonomialOrder`), which
-`MonomialOrder.key` sums into an int tuple.  `_buchberger` and
-`normal_form` pack every monomial into one int on entry (`_Layout`:
-degree, exponents and the same key fields, each a fixed-width field with
-a guard bit, the key fields on top) and unpack on exit, so inside the
-kernel (after Monagan and Pearce, CASC 2007) int `<` is the order, `+`
-and `-` multiply and divide, and one mask tests divisibility.  Division
-works in place on a term dict: each step pops the leading term, found by
-`max` over the ints, and adds the matching multiple of the divisor's
-other terms.  `_buchberger` keeps the head (lm, lc, other terms) of every
-basis element and divides S-polynomials and the final interreduction by
-those heads.
+`MonomialOrder.key` sums into an int tuple.  `_buchberger`, `normal_form`
+and `ideal_member` pack every monomial into one int on entry (`_Layout`:
+degree, exponents and the same key fields, each a fixed-width field with a
+guard bit, the key fields on top) and unpack on exit, so inside the kernel
+(after Monagan and Pearce, CASC 2007) int `<` is the order, `+` and `-`
+multiply and divide, and one mask tests divisibility.  Division works in
+place on a term dict: each step pops the leading term, found by `max` over
+the ints, and adds the matching multiple of the divisor's other terms.
+`_buchberger` keeps the head (lm, lc, other terms) of every basis element
+and divides S-polynomials and the final interreduction by those heads.
+
+Coefficients inside the kernel are plain ints.  Over GF(p) heads are monic
+residues.  Over QQ the kernel is fraction-free: a head is a primitive
+integer polynomial (denominators cleared, content divided out, lc > 0), an
+S-polynomial is cross-multiplied by the heads' lcs over their gcd, and a
+division step multiplies the working dict by hc/gcd(lc, hc) only when the
+head's lc hc does not divide the leading coefficient lc.  Fractions appear
+only on the way out: a basis element is made monic, and a remainder is
+divided by its denominator and scale, at one `Fraction` per term.  A
+reduced basis keeps its packed heads, so `ideal_member` packs it once per
+order.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm
 
 from .poly import Poly, QQ, mono_div, mono_lcm, var_key, zvar
 
@@ -140,20 +152,21 @@ class _Layout:
     `(m2 - m1) & guard == 0` (a negative field borrows, which sets its
     guard bit).
 
-    Width: with D the larger of the degree bound and the inputs' degree,
-    2**width > 3*D keeps every field from overflowing.  Heads have degree
-    at most D (inputs by definition of D, new heads are degree-checked),
-    so a pair's lcm has degree at most 2D and an S-polynomial's terms,
-    a cofactor of degree at most 2D times a head's term, at most 3D.  A
-    division step first checks its leading monomial against the bound, so
-    the terms it adds have degree at most 2D.  Every field is at most the
-    degree, so the inner loops need no overflow check.
+    Width: with D (`bound`) the larger of the degree bound and the inputs'
+    degree, 2**width > 3*D keeps every field from overflowing.  Heads have
+    degree at most D (inputs by definition of D, new heads are
+    degree-checked), so a pair's lcm has degree at most 2D and an
+    S-polynomial's terms, a cofactor of degree at most 2D times a head's
+    term, at most 3D.  A division step first checks its leading monomial
+    against the bound, so the terms it adds have degree at most 2D.  Every
+    field is at most the degree, so the inner loops need no overflow check.
     """
 
-    __slots__ = ("fields", "mask", "guard", "_units", "_unit_at", "_exp_mask",
-                 "_exp_guard", "_width")
+    __slots__ = ("bound", "fields", "mask", "guard", "_units", "_unit_at",
+                 "_exp_mask", "_exp_guard", "_width")
 
     def __init__(self, order, bound):
+        self.bound = bound
         w = max(1, (3 * bound).bit_length())
         f = w + 1
         runs = order._runs
@@ -217,11 +230,12 @@ class Ideal:
     """Finitely generated ideal with a per-order cache of reduced bases.
 
     Values are immutable apart from the caches (reduced bases, default
-    order); cache writes are single idempotent assignments of a unique
-    value, so concurrent use at worst recomputes the same value.
+    order, and on a reduced basis its packed heads); cache writes are
+    single idempotent assignments of a unique value, so concurrent use at
+    worst recomputes the same value.
     """
 
-    __slots__ = ("field", "gens", "ambient", "_gb", "_order")
+    __slots__ = ("field", "gens", "ambient", "_gb", "_order", "_heads")
 
     def __init__(self, gens, ambient=(), field=None):
         gens = tuple(g for g in gens if not (isinstance(g, Poly) and g.is_zero()))
@@ -239,6 +253,7 @@ class Ideal:
         self.ambient = tuple(sorted(vs, key=var_key))
         self._gb = {}
         self._order = None
+        self._heads = {}
 
     def default_order(self):
         """Grevlex over the ambient, built on first use."""
@@ -274,41 +289,87 @@ def normal_form(f, basis, order, budget=None):
     if f.is_zero() or not basis:
         return f
     budget = budget or DEFAULT_BUDGET
-    layout, packed = _pack_all(basis + [f], order, budget)
-    heads = [_head(terms) for terms, _ in packed[:-1]]
-    r = _divide(dict(packed[-1][0]), heads, f.field, layout, budget)
-    return Poly(f.field, {layout.unpack(m): c for m, c in r.items()})
+    p = f.field.char
+    layout, packed = _pack_all(basis + [f], order, budget.max_degree)
+    heads = [_head(terms, p) for terms, _ in packed[:-1]]
+    work, den = _integral(packed[-1][0])
+    r, scale = _divide(dict(work), heads, p, layout, budget)
+    unpack = layout.unpack
+    return _quotient(f.field, [(unpack(m), c) for m, c in r.items()], den * scale)
 
 
-def _pack_all(polys, order, budget):
+def _pack_all(polys, order, bound):
     """(layout, [(packed terms, degree)] per poly): the layout is wide
-    enough for the budget's degree bound and for the inputs' degrees."""
-    layout = _Layout(order, budget.max_degree)
+    enough for the degree bound and for the inputs' degrees."""
+    layout = _Layout(order, bound)
     packed = [layout.pack(g.terms) for g in polys]
     top = max(d for _, d in packed)
-    if top > budget.max_degree:
+    if top > bound:
         layout = _Layout(order, top)
         packed = [layout.pack(g.terms) for g in polys]
     return layout, packed
 
 
-def _head(terms):
-    """(lm, lc, other terms) of a packed term list."""
+def _integral(terms):
+    """(terms scaled by d, d) for d the lcm of the coefficients'
+    denominators: integers over QQ, and GF(p) residues unchanged."""
+    d = 1
+    for _, c in terms:
+        if c.denominator != 1:
+            d = lcm(d, c.denominator)
+    if d == 1:
+        return terms, 1
+    return [(m, c.numerator * (d // c.denominator)) for m, c in terms], d
+
+
+def _head(terms, p):
+    """(lm, lc, other terms) of a nonzero list of packed terms, normalized:
+    monic over GF(p), and over QQ (p = 0) a primitive integer polynomial
+    with lc > 0."""
+    terms = _integral(terms)[0]
     lm, lc = max(terms)
+    if p:
+        if lc != 1:
+            inv = pow(lc, -1, p)
+            terms = [(m, c * inv % p) for m, c in terms]
+            lc = 1
+    else:
+        g = gcd(*[c for _, c in terms])
+        if lc < 0:
+            g = -g
+        if g != 1:
+            terms = [(m, c // g) for m, c in terms]
+            lc //= g
     return lm, lc, [t for t in terms if t[0] != lm]
 
 
-def _divide(work, heads, field, layout, budget):
+def _quotient(field, terms, d):
+    """The Poly of (monomial, kernel coefficient) terms, each divided by
+    d: over QQ exactly, at one Fraction per term that d does not divide."""
+    if d == 1:
+        return Poly(field, dict(terms))
+    p = field.char
+    if p:
+        inv = pow(d, -1, p)
+        return Poly(field, {m: c * inv % p for m, c in terms})
+    return Poly(field, {m: Fraction(c, d) if c % d else c // d for m, c in terms})
+
+
+def _divide(work, heads, p, layout, budget):
     """Divide the packed term dict `work` in place by heads, a list of
-    (lm, lc, other terms), and return the remainder's term dict.
+    normalized (lm, lc, other terms), and return (r, scale), r a term dict:
+    the remainder of work is r / scale, with scale 1 over GF(p).
 
     Leading terms leave `work` in decreasing order, so the remainder's
-    first term is its leading one.
+    first term is its leading one.  Over QQ a step whose head's lc does
+    not divide the leading coefficient first multiplies `work` (and the
+    scale) by the smallest factor that makes it divide; a remainder term
+    keeps the scale it left at and is raised to the final one at the end.
     """
-    mul, neg, inv, add = field.mul, field.neg, field.inv, field.add
     guard, mask = layout.guard, layout.mask
     max_degree, max_steps = budget.max_degree, budget.max_reductions
-    remainder = {}
+    remainder, left_at = {}, {}
+    scale = 1
     steps = 0
     while work:
         lm = max(work)
@@ -320,36 +381,54 @@ def _divide(work, heads, field, layout, budget):
             raise BudgetExceededError("division step budget exhausted")
         for hm, hc, tail in heads:
             if not (lm - hm) & guard:
-                _add_multiple(work, neg(mul(lc, inv(hc))), lm - hm, tail, add, mul)
+                if hc != 1:  # over QQ only; GF(p) heads are monic
+                    g = gcd(lc, hc)
+                    if g != hc:
+                        k = hc // g
+                        for m in work:
+                            work[m] *= k
+                        scale *= k
+                    lc //= g
+                _add_multiple(work, -lc, lm - hm, tail, p)
                 break
         else:
             remainder[lm] = lc
-    return remainder
+            if scale != 1:
+                left_at[lm] = scale
+    if scale != 1:
+        for m, c in remainder.items():
+            remainder[m] = c * (scale // left_at.get(m, 1))
+    return remainder, scale
 
 
-def _add_multiple(work, c, u, tail, add, mul):
-    """work += c*u*tail term by term, for packed monomials u and tail's."""
+def _add_multiple(work, c, u, tail, p):
+    """work += c*u*tail term by term, for packed monomials u and tail's;
+    coefficients are residues mod p, or integers when p = 0."""
     get = work.get
-    for m, cg in tail:
-        m += u
-        w = get(m)
-        if w is None:
-            work[m] = mul(cg, c)
-        else:
-            s = add(w, mul(cg, c))
-            if s:
-                work[m] = s
+    if p:
+        for m, cg in tail:
+            m += u
+            w = get(m)
+            if w is None:
+                work[m] = cg * c % p
             else:
-                del work[m]
-
-
-def _monic_head(terms, field):
-    """(lm, 1, other terms) of a remainder's term dict (leading term first),
-    scaled to be monic."""
-    items = iter(terms.items())
-    lm, lc = next(items)
-    mul, inv = field.mul, field.inv(lc)
-    return lm, mul(lc, inv), [(m, mul(c, inv)) for m, c in items]
+                w = (w + cg * c) % p
+                if w:
+                    work[m] = w
+                else:
+                    del work[m]
+    else:
+        for m, cg in tail:
+            m += u
+            w = get(m)
+            if w is None:
+                work[m] = cg * c
+            else:
+                w += cg * c
+                if w:
+                    work[m] = w
+                else:
+                    del work[m]
 
 
 def _update(heads, sugars, P, pairs, head, sugar, layout):
@@ -386,21 +465,21 @@ def _update(heads, sugars, P, pairs, head, sugar, layout):
 
 def _buchberger(gens, order, budget):
     gens = [g for g in gens if not g.is_zero()]
-    if len(gens) <= 1:
-        # a monic generator is its own reduced basis
-        return tuple(g.scale(g.field.inv(g.leading(order)[1])) for g in gens)
+    if not gens:
+        return ()
     field = gens[0].field
-    layout, packed = _pack_all(gens, order, budget)
+    if len(gens) == 1:
+        # a monic generator is its own reduced basis
+        g = gens[0]
+        terms, d = _integral(g.terms.items())
+        lc = g.leading(order)[1]
+        return (_quotient(field, terms, lc.numerator * (d // lc.denominator)),)
+    p = field.char
+    layout, packed = _pack_all(gens, order, budget.max_degree)
     guard, mask = layout.guard, layout.mask
-    add, mul = field.add, field.mul
-    one = field.coerce(1)
-    minus_one = field.neg(one)
     heads, sugars, P, pairs = [], [], set(), {}
     for terms, degree in packed:
-        lm, lc, tail = _head(terms)
-        inv = field.inv(lc)
-        head = (lm, one, [(m, mul(c, inv)) for m, c in tail])
-        P = _update(heads, sugars, P, pairs, head, degree, layout)
+        P = _update(heads, sugars, P, pairs, _head(terms, p), degree, layout)
     reductions = 0
     while P:
         i, j = pair = min(P, key=pairs.__getitem__)
@@ -408,18 +487,20 @@ def _buchberger(gens, order, budget):
         reductions += 1
         if reductions > budget.max_reductions:
             raise BudgetExceededError("pair reduction budget exhausted")
-        # the S-polynomial of two monic heads; their leading terms cancel
+        # the S-polynomial, cross-multiplied so the leading terms cancel
         sugar, lcm = pairs[pair]
+        (mi, ci, ti), (mj, cj, tj) = heads[i], heads[j]
+        g = gcd(ci, cj)
         work = {}
-        _add_multiple(work, one, lcm - heads[i][0], heads[i][2], add, mul)
-        _add_multiple(work, minus_one, lcm - heads[j][0], heads[j][2], add, mul)
-        r = _divide(work, heads, field, layout, budget)
+        _add_multiple(work, cj // g, lcm - mi, ti, p)
+        _add_multiple(work, -(ci // g), lcm - mj, tj, p)
+        r = _divide(work, heads, p, layout, budget)[0]
         if not r:
             continue
         degree = max(m & mask for m in r)
         if degree > budget.max_degree:
             raise BudgetExceededError("degree %d exceeds budget" % degree)
-        P = _update(heads, sugars, P, pairs, _monic_head(r, field), sugar, layout)
+        P = _update(heads, sugars, P, pairs, _head(r.items(), p), sugar, layout)
     # minimalize, then fully interreduce
     minimal = []
     for h in sorted(heads, key=lambda h: h[0]):
@@ -433,17 +514,14 @@ def _buchberger(gens, order, budget):
             continue
         work = dict(head[2])
         work[head[0]] = head[1]
-        r = _divide(work, others, field, layout, budget)
+        r = _divide(work, others, p, layout, budget)[0]
         if r:
-            reduced.append(_monic_head(r, field))
+            reduced.append(_head(r.items(), p))
     reduced.sort(key=lambda h: h[0])
     unpack = layout.unpack
-    out = []
-    for lm, lc, tail in reduced:
-        terms = {unpack(lm): lc}
-        terms.update((unpack(m), c) for m, c in tail)
-        out.append(Poly(field, terms))
-    return tuple(out)
+    # each head is made monic on the way out
+    return tuple(_quotient(field, [(unpack(m), c) for m, c in [(lm, lc)] + tail], lc)
+                 for lm, lc, tail in reduced)
 
 
 def groebner_basis(I, order=None, budget=None):
@@ -465,13 +543,36 @@ def is_unit_ideal(I, budget=None):
 
 def ideal_member(f, I, budget=None):
     """True iff f lies in I (extended to f's variables).  Grevlex over the
-    wider set restricts to I's default order, so I's cached basis serves."""
+    wider set restricts to I's default order, so I's cached basis serves,
+    and so do the packed heads cached on it."""
+    budget = budget or DEFAULT_BUDGET
     fvars = f.variables()
     if fvars.issubset(I.ambient):
         order = I.default_order()
     else:
         order = MonomialOrder.grevlex(fvars.union(I.ambient))
-    return normal_form(f, groebner_basis(I, budget=budget).gens, order, budget).is_zero()
+    gb = groebner_basis(I, budget=budget)
+    if f.is_zero() or not gb.gens:
+        return f.is_zero()
+    layout, heads = _packed_heads(gb, order, budget.max_degree)
+    terms, top = layout.pack(f.terms)
+    if top > layout.bound:
+        layout, heads = _packed_heads(gb, order, top)
+        terms = layout.pack(f.terms)[0]
+    work = dict(_integral(terms)[0])
+    return not _divide(work, heads, I.field.char, layout, budget)[0]
+
+
+def _packed_heads(gb, order, bound):
+    """(layout, normalized heads) of a reduced basis in a layout for at
+    least the degree bound, cached on the basis per (order, bound)."""
+    key = (order, bound)
+    hit = gb._heads.get(key)
+    if hit is None:
+        layout, packed = _pack_all(gb.gens, order, bound)
+        heads = [_head(terms, gb.field.char) for terms, _ in packed]
+        hit = gb._heads[key] = (layout, heads)
+    return hit
 
 
 def ideal_contains(I, J, budget=None):

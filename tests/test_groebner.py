@@ -1,16 +1,17 @@
 """Groebner kernel: bases, normal forms, elimination, saturation, radicals."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from symprime.contractlab import contract_ideal
 from symprime.groebner import (DEFAULT_BUDGET, Budget, BudgetExceededError,
-                               Ideal, MonomialOrder, eliminate, groebner_basis,
+                               Ideal, MonomialOrder, _Layout, eliminate, groebner_basis,
                                ideal_contains, ideal_equal, ideal_intersect,
                                ideal_member, is_unit_ideal, normal_form, radical_member,
                                saturate, spoly, variety_contained)
-from symprime.poly import (GF, Poly, QQ, evar, mono_degree, mono_div,
+from symprime.poly import (GF, Poly, QQ, Rationals, evar, mono_degree, mono_div,
                            mono_divides, parse, tvar, xvar)
 
 
@@ -180,12 +181,20 @@ def test_budget_exceeded():
                        budget=Budget(max_reductions=2_000_000, max_degree=8))
 
 
-def _random_ideal(rng, nvars=3, ngens=3, maxdeg=2, field=QQ):
+def _small_int(rng):
+    return rng.randint(-3, 3)
+
+
+def _fraction(rng):
+    return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 50))
+
+
+def _random_ideal(rng, nvars=3, ngens=3, maxdeg=2, field=QQ, coeff=_small_int):
     gens = []
     for _ in range(rng.randint(1, ngens)):
         g = Poly.zero(field)
         for _ in range(rng.randint(1, 3)):
-            term = Poly.const(rng.randint(-3, 3), field)
+            term = Poly.const(coeff(rng), field)
             for i in range(1, nvars + 1):
                 term = term * Poly.variable(tvar(i), field) ** rng.randint(0, maxdeg)
             g = g + term
@@ -225,6 +234,103 @@ def test_spolys_reduce_to_zero(seed):
         for j in range(i + 1, len(gens)):
             s = spoly(gens[i], gens[j], order)
             assert normal_form(s, gens, order).is_zero()
+
+
+def test_the_kernel_does_no_rational_field_arithmetic(monkeypatch):
+    # over QQ the kernel runs on primitive integer heads: no QQ.add, QQ.mul
+    # or QQ.inv, and Fractions only on the way out
+    rng = random.Random(77)
+    ideals = [_random_ideal(rng, coeff=_fraction) for _ in range(8)]
+    ideals.append(Ideal([parse("2/3*t1^2 - 5/7*t2")]))  # the one-generator path
+    members = [I.gens[0] * _random_poly(rng, QQ) for I in ideals]
+    calls = []
+
+    def counted(name):
+        real = getattr(Rationals, name)
+
+        def wrapper(self, *args):
+            calls.append(name)
+            return real(self, *args)
+        return wrapper
+    for name in ("add", "mul", "inv"):
+        monkeypatch.setattr(Rationals, name, counted(name))
+    for I, f in zip(ideals, members):
+        lex = MonomialOrder.lex(I.ambient)
+        for order in (I.default_order(), lex):
+            gb = groebner_basis(I, order)
+            assert all(g.leading(order)[1] == 1 for g in gb.gens)
+        assert ideal_member(f, I)
+    assert calls == []
+
+
+def test_budgets_fire_where_they_did_over_fractions():
+    # the first max_reductions and max_degree values of each run of equal
+    # outcomes, pinned from the field-arithmetic kernel: steps still count
+    # one per popped leading term and pairs one per S-polynomial
+    def ideal():
+        return Ideal([parse("t1^2 + 2/3*t2*t3 - 1"), parse("t1*t2 - 5/7*t3^2"),
+                      parse("t2^2 - 3/4*t1")])
+
+    def runs(fn, values):
+        out = []
+        for k in values:
+            got = _outcome(fn, k)
+            got = "ok" if isinstance(got, (Ideal, bool)) else got
+            if not out or out[-1][1] != got:
+                out.append((k, got))
+        return out
+
+    pair = "BudgetExceededError: pair reduction budget exhausted"
+    step = "BudgetExceededError: division step budget exhausted"
+
+    def degree(d):
+        return "BudgetExceededError: degree %d exceeds budget" % d
+    amb = (tvar(1), tvar(2), tvar(3))
+    grevlex, lex = MonomialOrder.grevlex(amb), MonomialOrder.lex(amb)
+    assert runs(lambda k: groebner_basis(ideal(), grevlex, Budget(max_reductions=k)),
+                range(12)) == [(0, pair), (1, step), (4, pair), (8, "ok")]
+    assert runs(lambda k: groebner_basis(ideal(), lex, Budget(max_reductions=k)),
+                range(12)) == [(0, pair), (1, step), (4, pair), (7, step), (9, "ok")]
+    assert runs(lambda d: groebner_basis(ideal(), grevlex, Budget(max_degree=d)),
+                range(14)) == [(0, degree(3)), (3, degree(4)), (4, "ok")]
+    assert runs(lambda d: groebner_basis(ideal(), lex, Budget(max_degree=d)),
+                range(14)) == [(0, degree(3)), (3, degree(4)), (4, degree(5)),
+                               (5, degree(6)), (6, degree(7)), (7, degree(8)),
+                               (8, degree(12)), (12, "ok")]
+    I = ideal()
+    groebner_basis(I)
+    f = parse("(t1^3 - 2/9*t2)*(t1^2 + 2/3*t2*t3 - 1) + 1/5*t3^4")
+    assert runs(lambda k: ideal_member(f, I, Budget(max_reductions=k)),
+                range(12)) == [(0, step), (7, "ok")]
+    assert runs(lambda d: ideal_member(f, I, Budget(max_degree=d)),
+                range(8)) == [(0, degree(5)), (5, "ok")]
+
+
+def test_ideal_contains_packs_the_basis_once(monkeypatch):
+    # a reduced basis keeps its packed heads per (order, degree bound), so
+    # every generator of J reuses one packing of I's basis
+    I = Ideal([parse("t1^2+t2^2-1"), parse("t1*t2 - 1/2")])
+    J = Ideal([parse("(t1^2+t2^2-1)*t1"), parse("(2*t1*t2 - 1)*t2^3"),
+               parse("(t1^2+t2^2-1)*(t1-t2)^2 + (2*t1*t2-1)*t1")])
+    gb = groebner_basis(I)
+    packed = []
+    pack = _Layout.pack
+
+    def counting(self, terms):
+        packed.append(terms)
+        return pack(self, terms)
+    monkeypatch.setattr(_Layout, "pack", counting)
+    for _ in range(3):
+        assert ideal_contains(I, J)
+    assert [id(t) for t in packed] == ([id(g.terms) for g in gb.gens]
+                                       + [id(g.terms) for g in J.gens] * 3)
+    # a wider order, or a degree bound the basis is not packed for, packs
+    # it again, once
+    packed.clear()
+    for _ in range(2):
+        assert not ideal_member(parse("t3"), I)
+        assert ideal_member(J.gens[0], I, Budget(max_degree=200))
+    assert len(packed) == 2 * len(gb.gens) + 4
 
 
 def test_buchberger_reuses_the_heads_it_holds(leading_calls, monkeypatch):
@@ -279,9 +385,9 @@ def _outcome(fn, *args):
         return "BudgetExceededError: %s" % exc
 
 
-def _random_poly(rng, field, maxdeg=2):
+def _random_poly(rng, field, maxdeg=2, coeff=_small_int):
     while True:
-        gens = _random_ideal(rng, ngens=1, maxdeg=maxdeg, field=field).gens
+        gens = _random_ideal(rng, ngens=1, maxdeg=maxdeg, field=field, coeff=coeff).gens
         if gens:
             return gens[0]
 
@@ -307,6 +413,30 @@ def test_normal_form_matches_the_rebuilding_oracle(seed, field):
         for budget in budgets:
             assert (_outcome(normal_form, f, basis, order, budget)
                     == _outcome(oracle_normal_form, f, basis, order, budget))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_normal_form_matches_the_oracle_on_fractions(seed):
+    # the kernel divides fraction-free, so the remainder comes back through
+    # the denominator of f and the scale of the division: it must be the
+    # field remainder exactly, term order and int-or-Fraction type included
+    rng = random.Random(1700 + seed)
+    amb = (tvar(1), tvar(2), tvar(3))
+    order = [MonomialOrder.grevlex(amb), MonomialOrder.lex(amb),
+             MonomialOrder.block(amb[:1], amb[1:])][seed % 3]
+    I = _random_ideal(rng, coeff=_fraction)
+    # the generators themselves are a basis with fractional, non-unit heads
+    for basis in (groebner_basis(I, order).gens, I.gens):
+        for _ in range(3):
+            f = (_random_poly(rng, QQ, coeff=_fraction) * _random_poly(rng, QQ)
+                 + _random_poly(rng, QQ, maxdeg=3, coeff=_fraction))
+            want = oracle_normal_form(f, basis, order)
+            got = normal_form(f, basis, order)
+            assert ([(m, c, type(c)) for m, c in got.terms.items()]
+                    == [(m, c, type(c)) for m, c in want.terms.items()])
+            for budget in (Budget(max_reductions=3), Budget(max_degree=3)):
+                assert (_outcome(normal_form, f, basis, order, budget)
+                        == _outcome(oracle_normal_form, f, basis, order, budget))
 
 
 @pytest.mark.parametrize("seed", range(20))
