@@ -1,0 +1,152 @@
+"""Same-answers sweep: the symprime CLI over the acceptance-pool primes.
+
+Runs `symprime.cli.main` in this process on a fixed list of commands over
+the 18 primes of the acceptance pool (tests/test_acceptance.py), written as
+problem files to a temporary directory:
+
+- `contain` on all 324 ordered pairs;
+- `gens` on every prime (fin31's takes the longest);
+- `theta` and `spectrum-slice` at fixed targets;
+- `member` with three polynomials at three `--max-reductions` values;
+- `witness` for the failing pairs of acceptance criterion 5;
+- `psi0`, `radical` and `contract-verify` on fixed inputs;
+- small budgets and bad input, so that exits 2 and 3 are covered.
+
+It prints the number of commands; per command kind, the wall time and the
+count of each exit code; and one sha256 over (argv, stdout, stderr, exit
+code) of every command.  Two source trees give the same hash exactly when
+every command gives the same output and exit code.
+
+    PYTHONPATH=src python3 scripts/cli_sweep.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+import time
+from collections import Counter, defaultdict
+from pathlib import Path
+
+from symprime import cli
+
+# (parts, weights, configuration ideal) of the acceptance pool
+POOL = {
+    "diag1": (["inf"], [1], []),
+    "diag2": (["inf"], [2], []),
+    "allzero1": (["inf"], [1], ["t1"]),
+    "allzero2": (["inf"], [2], ["t1"]),
+    "allzero3": (["inf"], [3], ["t1"]),
+    "allzero5": (["inf"], [5], ["t1"]),
+    "one2": (["inf"], [2], ["t1-1"]),
+    "free11": (["inf", "inf"], [1, 1], []),
+    "free22": (["inf", "inf"], [2, 2], []),
+    "mixed21": (["inf", "inf"], [2, 1], []),
+    "line0": (["inf", "inf"], [1, 1], ["t1+t2"]),
+    "line1": (["inf", "inf"], [1, 1], ["t1+t2-1"]),
+    "circle22": (["inf", "inf"], [2, 2], ["t1^2+t2^2-1"]),
+    "circle11": (["inf", "inf"], [1, 1], ["t1^2+t2^2-1"]),
+    "point": (["inf", "inf"], [1, 1], ["t1-1", "t2+1"]),
+    "fin31": (["inf", 1], [3, 1], ["t1"]),
+    "p3": (["inf", "inf", "inf"], [1, 1, 1], []),
+    "q3pts": (["inf", 1, 1], [1, 1, 1], ["t1", "t2-1", "t3-2"]),
+}
+
+# the failing pairs of acceptance criterion 5, with a point of q's locus
+WITNESS_PAIRS = (
+    ("line0", "allzero3", None), ("line1", "allzero2", "0"),
+    ("line1", "allzero3", None), ("diag1", "diag2", None),
+    ("allzero2", "diag2", "1"), ("allzero1", "allzero2", None),
+    ("free22", "allzero5", None), ("free22", "fin31", None),
+    ("circle22", "allzero3", "0"), ("circle22", "allzero5", None),
+    ("circle11", "circle22", None), ("circle22", "free22", "1,2"),
+    ("point", "allzero2", "0"), ("point", "allzero1", "0"),
+    ("line1", "point", "1,-1"), ("line0", "free11", "1,2"),
+    ("allzero3", "mixed21", None), ("mixed21", "free22", None),
+    ("free22", "q3pts", None), ("line0", "q3pts", None),
+    ("allzero2", "p3", None),
+)
+TARGETS = (("inf", "2"), ("inf,inf", "1,1"), ("inf,1", "2,1"))
+POLYS = ("(x1-x2)^2", "x1*x2-x1^2", "(x1-x2)^3*(x2-x3)")
+REDUCTIONS = ("5", "200", "2000000")
+PSI0 = (("inf", "3"), ("inf,inf", "2,2"), ("inf,inf,1", "2,1,1"))
+RADICALS = (("diag1", "diag2"), ("allzero1", "line0", "circle22"),
+            ("free22", "fin31", "q3pts"))
+CONTRACTS = (("2", "2,2", "0"), ("3", "2,2,2", "0"), ("3", "3,3,3", "2"),
+             ("4", "2,2,2,2", "0"), ("2", "3,3", "3"), ("1", "2", "0"))
+BAD = (["contain", "missing.json", "diag1"], ["psi0", "--lambda", "3", "--e", "1"],
+       ["member", "diag1", "--poly", "x1+"], ["contract-verify", "-n", "2", "-q", "2,x"])
+
+
+def commands():
+    names = list(POOL)
+    for p in names:
+        for q in names:
+            yield ["contain", p, q]
+    for p in names:
+        yield ["gens", p]
+        yield ["gens", p, "--max-reductions", "5"]
+        for lam, e in TARGETS:
+            yield ["theta", p, "--lambda", lam, "--e", e]
+        yield ["spectrum-slice", p] + [a for lam, e in TARGETS
+                                       for a in ("--target", "%s;%s" % (lam, e))]
+        for f in POLYS:
+            for k in REDUCTIONS:
+                yield ["member", p, "--poly", f, "--max-reductions", k]
+    for p, q, point in WITNESS_PAIRS:
+        parts, weights, _ = POOL[q]
+        argv = ["witness", p, "--lambda", ",".join(map(str, parts)),
+                "--e", ",".join(map(str, weights))]
+        yield argv + (["--point", point] if point else [])
+        yield argv + ["--max-degree", "3"]
+    for lam, e in PSI0:
+        yield ["psi0", "--lambda", lam, "--e", e]
+    for group in RADICALS:
+        yield ["radical"] + list(group)
+        yield ["radical", "--zero"] + list(group)
+    for n, q, char in CONTRACTS:
+        for k in REDUCTIONS:
+            yield ["contract-verify", "-n", n, "-q", q, "--char", char,
+                   "--max-reductions", k]
+        yield ["contract-verify", "-n", n, "-q", q, "--char", char, "--max-degree", "2"]
+    yield from BAD
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+def main():
+    digest = hashlib.sha256()
+    exits, seconds = Counter(), defaultdict(float)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (parts, weights, z) in POOL.items():
+            Path(tmp, name + ".json").write_text(
+                json.dumps({"lambda": parts, "e": weights, "Z": z}))
+
+        def path(a):
+            return str(Path(tmp, a + ".json")) if a in POOL else a
+        for argv in commands():
+            start = time.perf_counter()
+            out, err, code = run([path(a) for a in argv])
+            seconds[argv[0]] += time.perf_counter() - start
+            exits[argv[0], code] += 1
+            record = [argv, out, err.replace(tmp, "<tmp>"), code]
+            digest.update(json.dumps(record).encode() + b"\n")
+    print("commands %d" % sum(exits.values()))
+    for kind, s in sorted(seconds.items()):
+        codes = {str(c): n for (k, c), n in sorted(exits.items()) if k == kind}
+        print("%-16s %8.2f s  exits %s" % (kind, s, json.dumps(codes)))
+    print("sha256 %s" % digest.hexdigest())
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,14 +8,12 @@ it came from, and the pair of least sugar is reduced next, ties going to
 the least lcm.  Every potentially unbounded computation is guarded by a
 resource budget and fails loudly instead of looping.
 
-Polynomials speak in sorted ((family, idx), exp) tuples.  An order is one
-table of per-variable runs of key fields (`MonomialOrder`), which
-`MonomialOrder.key` sums into an int tuple.  `_buchberger`, `normal_form`
-and `ideal_member` pack every monomial into one int on entry (`_Layout`:
-degree, exponents and the same key fields, each a fixed-width field with a
-guard bit, the key fields on top) and unpack on exit, so inside the kernel
-(after Monagan and Pearce, CASC 2007) int `<` is the order, `+` and `-`
-multiply and divide, and one mask tests divisibility.  Division works in
+Polynomials speak in sorted ((family, idx), exp) tuples.  Orders and the
+packed monomial layout live in `poly` (`MonomialOrder`, `PackedLayout`):
+`_buchberger`, `normal_form` and `ideal_member` pack every monomial into
+one int on entry and unpack on exit, so inside the kernel (after Monagan
+and Pearce, CASC 2007) int `<` is the order, `+` and `-` multiply and
+divide, and one mask tests divisibility.  Division works in
 place on a term dict: each step pops the leading term, found by `max` over
 the ints, and adds the matching multiple of the divisor's other terms.
 `_buchberger` keeps the head (lm, lc, other terms) of every basis element
@@ -35,10 +33,10 @@ order.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from math import gcd, lcm
+from math import gcd
 
-from .poly import Poly, QQ, mono_div, mono_lcm, var_key, zvar
+from .poly import (MonomialOrder, PackedLayout, Poly, QQ, clear_denominators, mono_div,
+                   mono_lcm, var_key, zvar)
 
 
 class BudgetExceededError(RuntimeError):
@@ -52,178 +50,6 @@ class Budget:
 
 
 DEFAULT_BUDGET = Budget()
-
-
-class MonomialOrder:
-    """Total monomial order: lex, grevlex, or block (grevlex inside blocks).
-
-    Variables are listed most-significant first; the canonical significance
-    order is x1 > x2 > ... > t1 > ... > e1 > ..., matching canonical
-    printing.  Block orders compare the first block before the second, so
-    putting the variables to eliminate in the first block yields an
-    elimination order.
-
-    The order is one table: each variable maps to the run [lo, hi) of
-    nonnegative key fields its exponent adds to, field 0 most significant.
-    A lex block gives one field per variable.  A graded block b_1..b_m
-    gives the prefix sums S_m, ..., S_1 with S_k = e(b_1) + ... + e(b_k),
-    since comparing those is comparing (degree, -e(b_m), ..., -e(b_1)).
-    A variable listed twice counts in its first place only.  `key` and the
-    kernel's packed layout (`_Layout`) both read this table.
-    """
-
-    __slots__ = ("kind", "blocks", "_runs", "_width")
-
-    def __init__(self, kind, blocks):
-        self.kind = kind
-        self.blocks = tuple(tuple(b) for b in blocks)
-        runs, width = {}, 0
-        for block in self.blocks:
-            block = [v for v in dict.fromkeys(block) if v not in runs]
-            m = len(block)
-            for i, v in enumerate(block):  # b_(i+1) is in S_m..S_(i+1)
-                runs[v] = ((width + i, width + i + 1) if kind == "lex"
-                           else (width, width + m - i))
-            width += m
-        self._runs = runs
-        self._width = width
-
-    @classmethod
-    def grevlex(cls, variables):
-        return cls("grevlex", (_sig(variables),))
-
-    @classmethod
-    def lex(cls, variables):
-        return cls("lex", (tuple(variables),))
-
-    @classmethod
-    def block(cls, first, rest):
-        return cls("block", (_sig(first), _sig(rest)))
-
-    def key(self, mono):
-        """The key fields of a monomial, an int tuple that sorts monomials
-        in this order: each exponent is added over its variable's run
-        (at the run's start and taken off past its end, then summed)."""
-        out = [0] * (self._width + 1)
-        runs = self._runs
-        try:
-            for v, k in mono:
-                lo, hi = runs[v]
-                out[lo] += k
-                out[hi] -= k
-        except KeyError:
-            raise _outside(mono, runs) from None
-        out.pop()
-        return tuple(accumulate(out))
-
-    def __eq__(self, other):
-        return (isinstance(other, MonomialOrder)
-                and self.kind == other.kind and self.blocks == other.blocks)
-
-    def __hash__(self):
-        return hash((self.kind, self.blocks))
-
-    def __repr__(self):
-        return "MonomialOrder(%s, %r)" % (self.kind, self.blocks)
-
-
-def _sig(variables):
-    return tuple(sorted(variables, key=var_key))
-
-
-def _outside(mono, known):
-    """The error for a monomial with variables not in `known`."""
-    return ValueError("monomial uses variables outside the order: %r"
-                      % sorted((v for v, _ in mono if v not in known), key=var_key))
-
-
-class _Layout:
-    """Monomials of one order packed into one int each, for the kernel.
-
-    Each field is `width` bits plus a guard bit on top.  From least to
-    most significant: the total degree; one exponent per variable in
-    `var_key` order; then the order's key fields (`MonomialOrder`), key
-    field 0 on top.  A variable's unit is 1 in the degree field, 1 in its
-    exponent field and 1 in each key field of its run.
-
-    Every field is a nonnegative linear function of the exponents, so as
-    long as no field overflows: int `<` is the order, the product of
-    monomials is `+` and the quotient `-`, and m1 divides m2 iff
-    `(m2 - m1) & guard == 0` (a negative field borrows, which sets its
-    guard bit).
-
-    Width: with D (`bound`) the larger of the degree bound and the inputs'
-    degree, 2**width > 3*D keeps every field from overflowing.  Heads have
-    degree at most D (inputs by definition of D, new heads are
-    degree-checked), so a pair's lcm has degree at most 2D and an
-    S-polynomial's terms, a cofactor of degree at most 2D times a head's
-    term, at most 3D.  A division step first checks its leading monomial
-    against the bound, so the terms it adds have degree at most 2D.  Every
-    field is at most the degree, so the inner loops need no overflow check.
-    """
-
-    __slots__ = ("bound", "fields", "mask", "guard", "_units", "_unit_at",
-                 "_exp_mask", "_exp_guard", "_width")
-
-    def __init__(self, order, bound):
-        self.bound = bound
-        w = max(1, (3 * bound).bit_length())
-        f = w + 1
-        runs = order._runs
-        variables = sorted(runs, key=var_key)
-        n = len(variables)
-        top = n + order._width  # the packed field holding key field 0
-        repunit = ((1 << f * (top + 1)) - 1) // ((1 << f) - 1)
-        # key fields lo..hi-1 are packed fields top-hi+1..top-lo
-        units = {}
-        for i, v in enumerate(variables):
-            lo, hi = runs[v]
-            units[v] = (1 | 1 << f * (i + 1)
-                        | repunit >> f * (top + 1 - hi + lo) << f * (top + 1 - hi))
-        self._width = w
-        self.mask = (1 << w) - 1
-        self.guard = repunit << w
-        exps = (repunit >> f * (top + 1 - n)) << f
-        self._exp_mask = exps * self.mask
-        self._exp_guard = exps << w
-        self.fields = tuple((v, f * (i + 1)) for i, v in enumerate(variables))
-        self._units = units
-        self._unit_at = {f * (i + 2) - 1: units[v] for i, v in enumerate(variables)}
-
-    def pack(self, terms):
-        """([(packed monomial, coefficient)], largest degree) of a term dict."""
-        units = self._units
-        out, top = [], 0
-        for m, c in terms.items():
-            p = d = 0
-            try:
-                for v, k in m:
-                    p += units[v] * k
-                    d += k
-            except KeyError:
-                raise _outside(m, units) from None
-            out.append((p, c))
-            if d > top:
-                top = d
-        return out, top
-
-    def unpack(self, p):
-        mask = self.mask
-        return tuple((v, e) for v, s in self.fields if (e := p >> s & mask))
-
-    def lcm(self, a, b):
-        """Packed lcm: a raised, in each variable where b's exponent is
-        larger, by the difference."""
-        em, eg, w = self._exp_mask, self._exp_guard, self._width
-        # per exponent field (a + 2**w) - b, which clears the guard bit
-        # exactly where b is larger; no field borrows from the next
-        t = (a & em | eg) - (b & em)
-        over = eg & ~t
-        while over:
-            top = over.bit_length() - 1
-            over ^= 1 << top
-            a += ((1 << w) - (t >> top - w & self.mask)) * self._unit_at[top]
-        return a
 
 
 class Ideal:
@@ -292,7 +118,7 @@ def normal_form(f, basis, order, budget=None):
     p = f.field.char
     layout, packed = _pack_all(basis + [f], order, budget.max_degree)
     heads = [_head(terms, p) for terms, _ in packed[:-1]]
-    work, den = _integral(packed[-1][0])
+    work, den = clear_denominators(packed[-1][0])
     r, scale = _divide(dict(work), heads, p, layout, budget)
     unpack = layout.unpack
     return _quotient(f.field, [(unpack(m), c) for m, c in r.items()], den * scale)
@@ -301,32 +127,20 @@ def normal_form(f, basis, order, budget=None):
 def _pack_all(polys, order, bound):
     """(layout, [(packed terms, degree)] per poly): the layout is wide
     enough for the degree bound and for the inputs' degrees."""
-    layout = _Layout(order, bound)
+    layout = PackedLayout(order, bound)
     packed = [layout.pack(g.terms) for g in polys]
     top = max(d for _, d in packed)
     if top > bound:
-        layout = _Layout(order, top)
+        layout = PackedLayout(order, top)
         packed = [layout.pack(g.terms) for g in polys]
     return layout, packed
-
-
-def _integral(terms):
-    """(terms scaled by d, d) for d the lcm of the coefficients'
-    denominators: integers over QQ, and GF(p) residues unchanged."""
-    d = 1
-    for _, c in terms:
-        if c.denominator != 1:
-            d = lcm(d, c.denominator)
-    if d == 1:
-        return terms, 1
-    return [(m, c.numerator * (d // c.denominator)) for m, c in terms], d
 
 
 def _head(terms, p):
     """(lm, lc, other terms) of a nonzero list of packed terms, normalized:
     monic over GF(p), and over QQ (p = 0) a primitive integer polynomial
     with lc > 0."""
-    terms = _integral(terms)[0]
+    terms = clear_denominators(terms)[0]
     lm, lc = max(terms)
     if p:
         if lc != 1:
@@ -471,7 +285,7 @@ def _buchberger(gens, order, budget):
     if len(gens) == 1:
         # a monic generator is its own reduced basis
         g = gens[0]
-        terms, d = _integral(g.terms.items())
+        terms, d = clear_denominators(g.terms.items())
         lc = g.leading(order)[1]
         return (_quotient(field, terms, lc.numerator * (d // lc.denominator)),)
     p = field.char
@@ -559,7 +373,7 @@ def ideal_member(f, I, budget=None):
     if top > layout.bound:
         layout, heads = _packed_heads(gb, order, top)
         terms = layout.pack(f.terms)[0]
-    work = dict(_integral(terms)[0])
+    work = dict(clear_denominators(terms)[0])
     return not _divide(work, heads, I.field.char, layout, budget)[0]
 
 

@@ -6,9 +6,18 @@ z-family is reserved for internal auxiliary variables and is not parseable.
 
 A monomial is a tuple of (variable, exponent) pairs sorted by variable, with
 no zero exponents.  A polynomial maps monomials to nonzero coefficients.
+
+This module also owns monomial orders (`MonomialOrder`) and the one packed
+monomial encoding (`PackedLayout`, after Monagan and Pearce, CASC 2007):
+each monomial is one int whose int order is the monomial order and whose
+`+` is the monomial product.  Large products, the canonical print and
+`poly_divides` run on it, and so does the Groebner kernel.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
+from math import lcm
 
 FAMILIES = ("x", "t", "e", "z")
 _RANK = {f: i for i, f in enumerate(FAMILIES)}
@@ -192,28 +201,250 @@ def canonical_key(m):
     return (degree, tail)
 
 
+# ---------------------------------------------------------------------------
+# monomial orders and packed monomials
+
+class MonomialOrder:
+    """Total monomial order: lex, grevlex, or block (grevlex inside blocks).
+
+    Variables are listed most-significant first; the canonical significance
+    order is x1 > x2 > ... > t1 > ... > e1 > ..., matching canonical
+    printing.  Block orders compare the first block before the second, so
+    putting the variables to eliminate in the first block yields an
+    elimination order.
+
+    The order is one table: each variable maps to the run [lo, hi) of
+    nonnegative key fields its exponent adds to, field 0 most significant.
+    A lex block gives one field per variable.  A graded block b_1..b_m
+    gives the prefix sums S_m, ..., S_1 with S_k = e(b_1) + ... + e(b_k),
+    since comparing those is comparing (degree, -e(b_m), ..., -e(b_1)).
+    A variable listed twice counts in its first place only.  `key` and the
+    packed layout (`PackedLayout`) both read this table.
+    """
+
+    __slots__ = ("kind", "blocks", "_runs", "_width")
+
+    def __init__(self, kind, blocks):
+        self.kind = kind
+        self.blocks = tuple(tuple(b) for b in blocks)
+        runs, width = {}, 0
+        for block in self.blocks:
+            block = [v for v in dict.fromkeys(block) if v not in runs]
+            m = len(block)
+            for i, v in enumerate(block):  # b_(i+1) is in S_m..S_(i+1)
+                runs[v] = ((width + i, width + i + 1) if kind == "lex"
+                           else (width, width + m - i))
+            width += m
+        self._runs = runs
+        self._width = width
+
+    @classmethod
+    def grevlex(cls, variables):
+        return cls("grevlex", (_sig(variables),))
+
+    @classmethod
+    def lex(cls, variables):
+        return cls("lex", (tuple(variables),))
+
+    @classmethod
+    def block(cls, first, rest):
+        return cls("block", (_sig(first), _sig(rest)))
+
+    def key(self, mono):
+        """The key fields of a monomial, an int tuple that sorts monomials
+        in this order: each exponent is added over its variable's run
+        (at the run's start and taken off past its end, then summed)."""
+        out = [0] * (self._width + 1)
+        runs = self._runs
+        try:
+            for v, k in mono:
+                lo, hi = runs[v]
+                out[lo] += k
+                out[hi] -= k
+        except KeyError:
+            raise _outside(mono, runs) from None
+        out.pop()
+        return tuple(accumulate(out))
+
+    def __eq__(self, other):
+        return (isinstance(other, MonomialOrder)
+                and self.kind == other.kind and self.blocks == other.blocks)
+
+    def __hash__(self):
+        return hash((self.kind, self.blocks))
+
+    def __repr__(self):
+        return "MonomialOrder(%s, %r)" % (self.kind, self.blocks)
+
+
+def _sig(variables):
+    return tuple(sorted(variables, key=var_key))
+
+
+def _outside(mono, known):
+    """The error for a monomial with variables not in `known`."""
+    return ValueError("monomial uses variables outside the order: %r"
+                      % sorted((v for v, _ in mono if v not in known), key=var_key))
+
+
+class PackedLayout:
+    """Monomials of one order packed into one int each.
+
+    Each field is `width` bits plus a guard bit on top.  From least to
+    most significant: the total degree; one exponent per variable in
+    `var_key` order; then the order's key fields (`MonomialOrder`), key
+    field 0 on top.  A variable's unit is 1 in the degree field, 1 in its
+    exponent field and 1 in each key field of its run.
+
+    Every field is a nonnegative linear function of the exponents, so as
+    long as no field overflows: int `<` is the order, the product of
+    monomials is `+` and the quotient `-`, and m1 divides m2 iff
+    `(m2 - m1) & guard == 0` (a negative field borrows, which sets its
+    guard bit).
+
+    Width: with D (`bound`) the larger of the degree bound and the inputs'
+    degree, 2**width > 3*D keeps every field from overflowing.  Heads have
+    degree at most D (inputs by definition of D, new heads are
+    degree-checked), so a pair's lcm has degree at most 2D and an
+    S-polynomial's terms, a cofactor of degree at most 2D times a head's
+    term, at most 3D.  A division step first checks its leading monomial
+    against the bound, so the terms it adds have degree at most 2D.  Every
+    field is at most the degree, so the inner loops need no overflow check.
+    A product needs only D = deg(a) + deg(b), and a division by one
+    polynomial only D = deg(f).
+    """
+
+    __slots__ = ("bound", "fields", "mask", "guard", "_units", "_unit_at",
+                 "_exp_mask", "_exp_guard", "_width")
+
+    def __init__(self, order, bound):
+        self.bound = bound
+        w = max(1, (3 * bound).bit_length())
+        f = w + 1
+        runs = order._runs
+        variables = sorted(runs, key=var_key)
+        n = len(variables)
+        top = n + order._width  # the packed field holding key field 0
+        repunit = ((1 << f * (top + 1)) - 1) // ((1 << f) - 1)
+        # key fields lo..hi-1 are packed fields top-hi+1..top-lo
+        units = {}
+        for i, v in enumerate(variables):
+            lo, hi = runs[v]
+            units[v] = (1 | 1 << f * (i + 1)
+                        | repunit >> f * (top + 1 - hi + lo) << f * (top + 1 - hi))
+        self._width = w
+        self.mask = (1 << w) - 1
+        self.guard = repunit << w
+        exps = (repunit >> f * (top + 1 - n)) << f
+        self._exp_mask = exps * self.mask
+        self._exp_guard = exps << w
+        self.fields = tuple((v, f * (i + 1)) for i, v in enumerate(variables))
+        self._units = units
+        self._unit_at = {f * (i + 2) - 1: units[v] for i, v in enumerate(variables)}
+
+    def pack(self, terms):
+        """([(packed monomial, coefficient)], largest degree) of a term dict."""
+        units = self._units
+        out, top = [], 0
+        for m, c in terms.items():
+            p = d = 0
+            try:
+                for v, k in m:
+                    p += units[v] * k
+                    d += k
+            except KeyError:
+                raise _outside(m, units) from None
+            out.append((p, c))
+            if d > top:
+                top = d
+        return out, top
+
+    def unpack(self, p):
+        """The sparse monomial tuple of a packed monomial."""
+        mask = self.mask
+        return tuple([(v, e) for v, s in self.fields if (e := p >> s & mask)])
+
+    def lcm(self, a, b):
+        """Packed lcm: a raised, in each variable where b's exponent is
+        larger, by the difference."""
+        em, eg, w = self._exp_mask, self._exp_guard, self._width
+        # per exponent field (a + 2**w) - b, which clears the guard bit
+        # exactly where b is larger; no field borrows from the next
+        t = (a & em | eg) - (b & em)
+        over = eg & ~t
+        while over:
+            top = over.bit_length() - 1
+            over ^= 1 << top
+            a += ((1 << w) - (t >> top - w & self.mask)) * self._unit_at[top]
+        return a
+
+
+def clear_denominators(terms):
+    """(terms scaled by d, d) for d the lcm of the coefficients'
+    denominators, over a list of (monomial, coefficient): integers over
+    QQ, and GF(p) residues unchanged."""
+    d = 1
+    for _, c in terms:
+        if c.denominator != 1:
+            d = lcm(d, c.denominator)
+    if d == 1:
+        return terms, 1
+    return [(m, c.numerator * (d // c.denominator)) for m, c in terms], d
+
+
+def _support(terms):
+    """(variables, total degree) of a nonempty term dict."""
+    variables, top = set(), 0
+    for m in terms:
+        d = 0
+        for v, k in m:
+            variables.add(v)
+            d += k
+        if d > top:
+            top = d
+    return variables, top
+
+
+def _canonical_layout(variables, degree):
+    """The packed layout of grevlex over the variables, the canonical
+    order, with room for the degree."""
+    return _layout_of(frozenset(variables), max(1, (3 * degree).bit_length()))
+
+
+@lru_cache(maxsize=256)
+def _layout_of(variables, width):
+    """The canonical layout of a variable set with fields of the given
+    width, shared by every polynomial of that support and degree range."""
+    return PackedLayout(MonomialOrder.grevlex(variables), ((1 << width) - 1) // 3)
+
+
+def _canonical_keys(terms):
+    """Packed monomials of a nonempty term dict, in its order, whose int
+    order is the canonical order: grevlex over the dict's variables."""
+    packed = _canonical_layout(*_support(terms)).pack(terms)[0]
+    return [m for m, _ in packed]
+
+
 def canonical_lead(f):
     """Leading monomial of a nonzero polynomial in the canonical order."""
-    return max(f.terms, key=canonical_key)
-
-
-def mono_str(m):
-    return "*".join(var_name(v) if k == 1 else "%s^%d" % (var_name(v), k) for v, k in m)
+    return max(zip(_canonical_keys(f.terms), f.terms))[1]
 
 
 # ---------------------------------------------------------------------------
 # polynomials
 
 class Poly:
-    """Immutable sparse polynomial over a fixed coefficient field."""
+    """Immutable sparse polynomial over a fixed coefficient field; its hash
+    and its text are computed once, on first use."""
 
-    __slots__ = ("field", "terms", "_hash")
+    __slots__ = ("field", "terms", "_hash", "_str")
 
     def __init__(self, field, terms):
         # terms must already be coerced with zeros dropped; use the builders
         self.field = field
         self.terms = terms
         self._hash = None
+        self._str = None
 
     @classmethod
     def zero(cls, field=QQ):
@@ -284,17 +515,19 @@ class Poly:
         return self + (-self._lift(other))
 
     def __mul__(self, other):
+        """The product, multiplied on packed monomials (`_product`) unless
+        it has fewer than _PACKED_PAIRS term pairs."""
         other = self._lift(other)
         f = self.field
-        if not self.terms or not other.terms:
+        a, b = self.terms, other.terms
+        if not a or not b:
             return Poly(f, {})
-        big, small = self.terms, other.terms
-        if len(big) < len(small):
-            big, small = small, big
+        if len(a) * len(b) >= _PACKED_PAIRS:
+            return Poly(f, _product(a, b, f.char))
         out = {}
         add, mul = f.add, f.mul
-        for m2, c2 in small.items():
-            for m1, c1 in big.items():
+        for m2, c2 in b.items():
+            for m1, c1 in a.items():
                 m = mono_mul(m1, m2)
                 c = mul(c1, c2)
                 if m in out:
@@ -344,6 +577,8 @@ class Poly:
         f = self.field
         images = {v: (img if isinstance(img, Poly) else Poly.const(img, f))
                   for v, img in mapping.items()}
+        if all(img.terms == {((v, 1),): 1} for v, img in images.items()):
+            return self  # every variable is its own image
         terms = []
         for m, c in self.terms.items():
             piece = Poly(f, {tuple((v, k) for v, k in m if v not in images): c})
@@ -403,21 +638,33 @@ class Poly:
         return self._hash
 
     def __str__(self):
+        if self._str is None:
+            self._str = self._text()
+        return self._str
+
+    def _text(self):
+        """Terms in descending canonical order, by their packed keys; each
+        power of a variable is spelled once."""
         if not self.terms:
             return "0"
+        spelled = {(v, k): var_name(v) if k == 1 else "%s^%d" % (var_name(v), k)
+                   for v, k in set().union(*self.terms)}
+        items = self.terms.items()
+        if len(items) > 1:
+            items = [t for _, t in sorted(zip(_canonical_keys(self.terms), items),
+                                          reverse=True)]
         words = []
-        for m in sorted(self.terms, key=canonical_key, reverse=True):
-            c = self.terms[m]
+        for m, c in items:
             if self.field.char == 0 and c < 0:
                 sign, mag = "-", -c
             else:
                 sign, mag = "+", c
             if not m:
                 body = str(mag)
-            elif mag == 1:
-                body = mono_str(m)
             else:
-                body = str(mag) + "*" + mono_str(m)
+                body = "*".join(map(spelled.__getitem__, m))
+                if mag != 1:
+                    body = "%s*%s" % (mag, body)
             words += (sign, body)
         # "s1 b1 s2 b2 ...": the leading sign is shown only when it is "-"
         out = " ".join(words)
@@ -427,22 +674,74 @@ class Poly:
         return "Poly(%s)" % self
 
 
+# Products of at least this many term pairs are multiplied on packed
+# monomials.  Below it, packing and unpacking every term costs more than
+# the tuple loop (the measured crossover, with the layout cached, is
+# 10-12 pairs), and most products of small CLI commands are that small.
+_PACKED_PAIRS = 12
+
+
+def _product(a, b, p):
+    """The term dict of the product of two nonempty term dicts over the
+    field of characteristic p.  Both are packed in the canonical layout of
+    their variables, with room for the product's degree; a monomial product
+    is an int `+`, coefficients accumulate as unreduced integers (over QQ
+    with denominators cleared), and each distinct product is normalized
+    and unpacked once."""
+    va, da = _support(a)
+    vb, db = _support(b)
+    layout = _canonical_layout(va | vb, da + db)
+    (pa, sa), (pb, sb) = (clear_denominators(layout.pack(t)[0]) for t in (a, b))
+    d = sa * sb  # 1 over GF(p)
+    out = {}
+    get = out.get
+    for ma, ca in pa:
+        for mb, cb in pb:
+            m = ma + mb
+            out[m] = get(m, 0) + ca * cb
+    unpack = layout.unpack
+    if p:
+        return {unpack(m): r for m, c in out.items() if (r := c % p)}
+    if d == 1:
+        return {unpack(m): c for m, c in out.items() if c}
+    return {unpack(m): Fraction(c, d) if c % d else c // d
+            for m, c in out.items() if c}
+
+
 def poly_divides(d, f):
-    """True iff polynomial d exactly divides f (single-divisor division)."""
+    """True iff polynomial d exactly divides f: single-divisor division in
+    the canonical order, on f's packed monomials."""
     if d.is_zero():
         return f.is_zero()
     if f.is_zero():
         return True
-    field = f.field
-    lm_d = canonical_lead(d)
-    lc_d = d.terms[lm_d]
-    rem = f
-    while not rem.is_zero():
-        lm = canonical_lead(rem)
-        if not mono_divides(lm_d, lm):
+    variables, top = _support(f.terms)
+    dvars, ddeg = _support(d.terms)
+    # a factor of f has no variable f lacks and no larger degree
+    if not dvars <= variables or ddeg > top:
+        return False
+    # every term the division makes has degree at most deg f
+    layout = _canonical_layout(variables, top)
+    field, guard = f.field, layout.guard
+    mul, add = field.mul, field.add
+    head = layout.pack(d.terms)[0]
+    lm_d, lc_d = max(head)
+    inv = field.inv(lc_d)
+    tail = [(m, field.neg(c)) for m, c in head if m != lm_d]
+    work = dict(layout.pack(f.terms)[0])
+    while work:
+        lm = max(work)
+        u = lm - lm_d
+        if u & guard:
             return False
-        c = field.mul(rem.terms[lm], field.inv(lc_d))
-        rem = rem - d * Poly(field, {mono_div(lm, lm_d): c})
+        q = mul(work.pop(lm), inv)
+        for m, c in tail:
+            m += u
+            s = add(work.get(m, 0), mul(q, c))
+            if s:
+                work[m] = s
+            else:
+                work.pop(m, None)
     return True
 
 

@@ -1,12 +1,16 @@
-"""The canonical monomial order agrees with grevlex over any ambient."""
+"""The canonical monomial order agrees with grevlex over any ambient, and
+printing and leading terms follow it."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from fractions import Fraction
+
 from symprime.groebner import MonomialOrder
-from symprime.poly import FAMILIES, Poly, canonical_key, canonical_lead, var_key
+from symprime.poly import (FAMILIES, GF, Poly, QQ, canonical_key, canonical_lead, var_key,
+                           var_name)
 
 variables = st.tuples(st.sampled_from(FAMILIES), st.integers(1, 4))
 monomials = st.dictionaries(variables, st.integers(1, 4), max_size=4).map(
@@ -38,3 +42,35 @@ def test_canonical_key_is_grevlex(monos, extra):
     assert sorted(monos, key=exponent_vector_key(used | extra)) == expected
     f = Poly.from_terms([(m, 1) for m in monos])
     assert canonical_lead(f) == expected[-1]
+
+
+def reference_text(f):
+    """The canonical print, terms sorted by canonical_key."""
+    words = []
+    for m in sorted(f.terms, key=canonical_key, reverse=True):
+        c = f.terms[m]
+        sign, mag = ("-", -c) if f.field.char == 0 and c < 0 else ("+", c)
+        mono = "*".join(var_name(v) if k == 1 else "%s^%d" % (var_name(v), k)
+                        for v, k in m)
+        body = str(mag) if not m else mono if mag == 1 else "%s*%s" % (mag, mono)
+        words.append((sign, body))
+    if not words:
+        return "0"
+    first = ("-" if words[0][0] == "-" else "") + words[0][1]
+    return " ".join([first] + ["%s %s" % w for w in words[1:]])
+
+
+coefficients = st.one_of(st.integers(-20, 20).filter(bool),
+                         st.builds(Fraction, st.integers(-20, 20).filter(bool),
+                                   st.integers(2, 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(monomials, coefficients, min_size=1, max_size=12),
+       st.sampled_from([0, 7, 32003]))
+def test_print_and_lead_follow_canonical_key(terms, char):
+    field = GF(char) if char else QQ
+    f = Poly.from_terms(terms.items(), field)
+    assert str(f) == reference_text(f)
+    if f.terms:
+        assert canonical_lead(f) == max(f.terms, key=canonical_key)

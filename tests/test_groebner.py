@@ -7,12 +7,12 @@ import pytest
 
 from symprime.contractlab import contract_ideal
 from symprime.groebner import (DEFAULT_BUDGET, Budget, BudgetExceededError,
-                               Ideal, MonomialOrder, _Layout, eliminate, groebner_basis,
+                               Ideal, MonomialOrder, eliminate, groebner_basis,
                                ideal_contains, ideal_equal, ideal_intersect,
                                ideal_member, is_unit_ideal, normal_form, radical_member,
                                saturate, spoly, variety_contained)
-from symprime.poly import (GF, Poly, QQ, Rationals, evar, mono_degree, mono_div,
-                           mono_divides, parse, tvar, xvar)
+from symprime.poly import (GF, PackedLayout, Poly, QQ, Rationals, evar, mono_degree,
+                           mono_div, mono_divides, parse, tvar, xvar)
 
 
 def gb_strs(I, order=None):
@@ -314,12 +314,12 @@ def test_ideal_contains_packs_the_basis_once(monkeypatch):
                parse("(t1^2+t2^2-1)*(t1-t2)^2 + (2*t1*t2-1)*t1")])
     gb = groebner_basis(I)
     packed = []
-    pack = _Layout.pack
+    pack = PackedLayout.pack
 
     def counting(self, terms):
         packed.append(terms)
         return pack(self, terms)
-    monkeypatch.setattr(_Layout, "pack", counting)
+    monkeypatch.setattr(PackedLayout, "pack", counting)
     for _ in range(3):
         assert ideal_contains(I, J)
     assert [id(t) for t in packed] == ([id(g.terms) for g in gb.gens]

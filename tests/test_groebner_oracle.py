@@ -16,10 +16,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from symprime.groebner import (Budget, BudgetExceededError, Ideal,
-                               MonomialOrder, _Layout, eliminate,
-                               groebner_basis, ideal_intersect, ideal_member,
-                               saturate)
-from symprime.poly import (FAMILIES, GF, Poly, QQ, mono_divides, mono_lcm,
+                               MonomialOrder, eliminate, groebner_basis,
+                               ideal_intersect, ideal_member, saturate)
+from symprime.poly import (FAMILIES, GF, PackedLayout, Poly, QQ, mono_divides, mono_lcm,
                            mono_mul, tvar, var_key)
 
 P = 32003
@@ -208,7 +207,7 @@ def _pack(layout, m):
        st.sets(variables, max_size=3), st.integers(0, 12), st.integers(0, 40))
 def test_packed_monomials_follow_the_order(kind, monos, extra, split, slack):
     order = _order(kind, {v for m in monos for v, _ in m} | extra, split)
-    layout = _Layout(order, max(sum(k for _, k in m) for m in monos) + slack)
+    layout = PackedLayout(order, max(sum(k for _, k in m) for m in monos) + slack)
     packed = {m: _pack(layout, m) for m in monos}
     f = layout._width + 1  # bits per field, guard included
     key_shifts = [f * (len(layout.fields) + order._width - j)
@@ -232,7 +231,7 @@ def test_packing_outside_the_order_raises_as_the_key_does(kind, mono, ambient, s
     if not ambient:
         ambient = {("x", 1)}
     order = _order(kind, ambient, split)
-    layout = _Layout(order, 16)
+    layout = PackedLayout(order, 16)
     try:
         order.key(mono)
     except ValueError as exc:

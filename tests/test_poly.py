@@ -2,11 +2,13 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from symprime.poly import (GF, ParseError, Poly, QQ, discriminant, parse,
-                           poly_divides, tvar, xvar)
+from symprime import poly
+from symprime.poly import (FAMILIES, GF, ParseError, Poly, QQ, discriminant, mono_mul,
+                           parse, poly_divides, tvar, xvar)
 
 
 def test_parse_literals():
@@ -161,3 +163,142 @@ def test_gf_arithmetic():
     assert f * f == parse("x1^2 + x2^2", field=two)
     with pytest.raises(ValueError):
         GF(6)
+
+
+# ---------------------------------------------------------------------------
+# products against the tuple reference
+
+def reference_product(a, b):
+    """a * b one tuple monomial and one field operation at a time."""
+    f = a.field
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = mono_mul(m1, m2)
+            out[m] = f.add(out.get(m, f.coerce(0)), f.mul(c1, c2))
+    return {m: c for m, c in out.items() if c}
+
+
+def _coeff(rng, field):
+    """A nonzero coefficient: half of those over QQ non-integral."""
+    if field.char:
+        return rng.randint(1, field.char - 1)
+    if rng.random() < 0.5:
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(2, 50))
+    return rng.choice((-1, 1)) * rng.randint(1, 9)
+
+
+def _sparse_poly(rng, field, variables, nterms, maxexp):
+    terms = {}
+    for _ in range(nterms):
+        m = {v: rng.randint(1, maxexp) for v in rng.sample(variables, rng.randint(0, 3))}
+        terms[tuple(sorted(m.items(), key=lambda it: poly.var_key(it[0])))] = _coeff(rng, field)
+    return Poly.from_terms(terms.items(), field)
+
+
+ALL_FAMILIES = [(fam, i) for fam in FAMILIES for i in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003), GF(3)], ids=["QQ", "GF32003", "GF3"])
+@pytest.mark.parametrize("seed", range(30))
+def test_products_match_the_tuple_reference(field, seed):
+    rng = random.Random(seed)
+    pairs = set()
+    for na, nb in ((1, 1), (1, 6), (3, 4), (2, 12), (5, 5), (12, 9)):
+        a = _sparse_poly(rng, field, ALL_FAMILIES, na, rng.choice((2, 5, 40)))
+        b = _sparse_poly(rng, field, ALL_FAMILIES, nb, rng.choice((2, 5, 40)))
+        product = a * b
+        assert product.terms == reference_product(a, b)
+        assert all(type(c) is int for c in product.terms.values()) or field is QQ
+        pairs.add(len(a.terms) * len(b.terms) >= poly._PACKED_PAIRS)
+    assert pairs == {False, True}  # both the tuple and the packed path ran
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(32003)], ids=["QQ", "GF5", "GF32003"])
+def test_packed_products_edge_cases(field):
+    P = lambda text: parse(text, field=field)  # noqa: E731
+    cases = [
+        # terms cancel: every cross term of (x - y)(x + y), and over GF(5)
+        # every middle binomial coefficient of (x + t)^5
+        (P("x1 - t2 + e1 + x2 + 1"), P("x1 + t2 - e1 + x2 - 1")),
+        (P("(x1 + t1)^4"), P("x1 + t1")),
+        # constants and disjoint variables
+        (P("7"), P("x1^2 + t1 + e1*x2 + 3")),
+        (P("x1 + x2 + x3 + x4 + 1"), P("t1 + t2 + e1 + e2 + 2")),
+        # exponents past the field width either operand alone would need
+        (P("x1^33 + x1^2*t1 + e1^31 + 1"), P("x1^100 + t1^120 + e1^97 + x2 + 5")),
+        (P("x1^7 + x2^7 + x3 + 1"), P("(x1 + x2)^9 - x3^40")),
+    ]
+    z = Poly.variable(poly.zvar(1), field)
+    cases.append((z * z + P("x1") + 1, P("x1^3 + e1 + t1 + x2 + 3") * z - 2))
+    cases.append((P("3"), P("-2")))
+    for a, b in cases:
+        expected = reference_product(a, b)
+        # the packed path whatever the size, and the operator's choice
+        assert poly._product(a.terms, b.terms, field.char) == expected
+        assert poly._product(b.terms, a.terms, field.char) == expected
+        assert (a * b).terms == expected
+    if field.char == 5:
+        assert P("(x1 + t1)^4") * P("x1 + t1") == P("x1^5 + t1^5")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("seed", range(10))
+def test_power_is_repeated_multiplication(field, seed):
+    rng = random.Random(300 + seed)
+    f = _sparse_poly(rng, field, ALL_FAMILIES[:6], rng.randint(1, 5), 3)
+    expected = Poly.const(1, field)
+    for n in range(7):
+        assert f ** n == expected
+        expected = Poly(field, reference_product(expected, f))
+
+
+def test_identity_substitution_returns_the_polynomial():
+    f = parse("x1^2 - 3*x1*t2 + 1")
+    same = {xvar(1): Poly.variable(xvar(1)), tvar(2): Poly.variable(tvar(2)),
+            tvar(5): Poly.variable(tvar(5))}
+    assert f.substitute(same) is f
+    assert f.substitute({}) is f
+    moved = f.substitute({xvar(1): Poly.variable(xvar(1)), tvar(2): Poly.variable(tvar(1))})
+    assert moved == parse("x1^2 - 3*x1*t1 + 1")
+    assert f.substitute({xvar(1): 1}) == parse("2 - 3*t2")
+    assert f.substitute({xvar(1): parse("2*x1")}) == parse("4*x1^2 - 6*x1*t2 + 1")
+
+
+def test_text_is_printed_once():
+    f = parse("(x1 - x2)^3 + t1")
+    assert str(f) is str(f)
+    assert f == parse(str(f))
+
+
+def _divides_by_canonical_division(d, f):
+    """The single-divisor division on tuple monomials, leading terms by
+    canonical_key."""
+    field = f.field
+    lm_d = max(d.terms, key=poly.canonical_key)
+    rem = f
+    while not rem.is_zero():
+        lm = max(rem.terms, key=poly.canonical_key)
+        quotient = dict(lm)
+        for v, k in lm_d:
+            quotient[v] = quotient.get(v, 0) - k
+        if min(quotient.values(), default=0) < 0:
+            return False
+        q = tuple(sorted(((v, k) for v, k in quotient.items() if k),
+                         key=lambda it: poly.var_key(it[0])))
+        c = field.mul(rem.terms[lm], field.inv(d.terms[lm_d]))
+        rem = rem - d * Poly(field, {q: c})
+    return True
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("seed", range(20))
+def test_poly_divides_matches_the_tuple_division(field, seed):
+    rng = random.Random(500 + seed)
+    variables = ALL_FAMILIES[:4] + ALL_FAMILIES[6:8]
+    d = _sparse_poly(rng, field, variables, rng.randint(1, 3), 2)
+    q = _sparse_poly(rng, field, variables, rng.randint(1, 4), 2)
+    r = _sparse_poly(rng, field, variables, rng.randint(0, 2), 3)
+    assert poly_divides(d, d * q)
+    for f in (d * q + r, d * q * q, q, r):
+        assert poly_divides(d, f) == _divides_by_canonical_division(d, f)
