@@ -11,7 +11,7 @@ This module also owns monomial orders (`MonomialOrder`) and the one packed
 monomial encoding (`PackedLayout`, after Monagan and Pearce, CASC 2007):
 each monomial is one int whose int order is the monomial order and whose
 `+` is the monomial product.  Large products, the canonical print and
-`poly_divides` run on it, and so does the Groebner kernel.
+`canonical_lead` run on it, and so does the Groebner kernel.
 """
 
 from fractions import Fraction
@@ -577,7 +577,8 @@ class Poly:
         f = self.field
         images = {v: (img if isinstance(img, Poly) else Poly.const(img, f))
                   for v, img in mapping.items()}
-        if all(img.terms == {((v, 1),): 1} for v, img in images.items()):
+        if all(img.field is f and img.terms == {((v, 1),): 1}
+               for v, img in images.items()):
             return self  # every variable is its own image
         terms = []
         for m, c in self.terms.items():
@@ -677,7 +678,9 @@ class Poly:
 # Products of at least this many term pairs are multiplied on packed
 # monomials.  Below it, packing and unpacking every term costs more than
 # the tuple loop (the measured crossover, with the layout cached, is
-# 10-12 pairs), and most products of small CLI commands are that small.
+# 10-12 pairs), and most products of small CLI commands and of parsing
+# are that small: packing every product cost contain_cli about 7 % of its
+# throughput and contract_grid a third more set-up (BENCH_16.json).
 _PACKED_PAIRS = 12
 
 
@@ -709,39 +712,21 @@ def _product(a, b, p):
 
 
 def poly_divides(d, f):
-    """True iff polynomial d exactly divides f: single-divisor division in
-    the canonical order, on f's packed monomials."""
+    """True iff polynomial d exactly divides f (single-divisor division)."""
     if d.is_zero():
         return f.is_zero()
     if f.is_zero():
         return True
-    variables, top = _support(f.terms)
-    dvars, ddeg = _support(d.terms)
-    # a factor of f has no variable f lacks and no larger degree
-    if not dvars <= variables or ddeg > top:
-        return False
-    # every term the division makes has degree at most deg f
-    layout = _canonical_layout(variables, top)
-    field, guard = f.field, layout.guard
-    mul, add = field.mul, field.add
-    head = layout.pack(d.terms)[0]
-    lm_d, lc_d = max(head)
-    inv = field.inv(lc_d)
-    tail = [(m, field.neg(c)) for m, c in head if m != lm_d]
-    work = dict(layout.pack(f.terms)[0])
-    while work:
-        lm = max(work)
-        u = lm - lm_d
-        if u & guard:
+    field = f.field
+    lm_d = canonical_lead(d)
+    lc_d = d.terms[lm_d]
+    rem = f
+    while not rem.is_zero():
+        lm = canonical_lead(rem)
+        if not mono_divides(lm_d, lm):
             return False
-        q = mul(work.pop(lm), inv)
-        for m, c in tail:
-            m += u
-            s = add(work.get(m, 0), mul(q, c))
-            if s:
-                work[m] = s
-            else:
-                work.pop(m, None)
+        c = field.mul(rem.terms[lm], field.inv(lc_d))
+        rem = rem - d * Poly(field, {mono_div(lm, lm_d): c})
     return True
 
 
