@@ -12,10 +12,11 @@ problem files to a temporary directory:
 - `psi0`, `radical` and `contract-verify` on fixed inputs;
 - small budgets and bad input, so that exits 2 and 3 are covered.
 
-It prints the number of commands; per command kind, the wall time and the
-count of each exit code; and one sha256 over (argv, stdout, stderr, exit
-code) of every command.  Two source trees give the same hash exactly when
-every command gives the same output and exit code.
+It prints the number of commands; per command kind, the wall time, the
+count of each exit code, and the slowest command with its time; and one
+sha256 over (argv, stdout, stderr, exit code) of every command.  Two
+source trees give the same hash exactly when every command gives the same
+output and exit code.
 
     PYTHONPATH=src python3 scripts/cli_sweep.py
 """
@@ -126,7 +127,7 @@ def run(argv):
 
 def main():
     digest = hashlib.sha256()
-    exits, seconds = Counter(), defaultdict(float)
+    exits, seconds, slowest = Counter(), defaultdict(float), {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, (parts, weights, z) in POOL.items():
             Path(tmp, name + ".json").write_text(
@@ -137,14 +138,18 @@ def main():
         for argv in commands():
             start = time.perf_counter()
             out, err, code = run([path(a) for a in argv])
-            seconds[argv[0]] += time.perf_counter() - start
+            took = time.perf_counter() - start
+            seconds[argv[0]] += took
+            slowest[argv[0]] = max(slowest.get(argv[0], (0.0, argv)), (took, argv))
             exits[argv[0], code] += 1
             record = [argv, out, err.replace(tmp, "<tmp>"), code]
             digest.update(json.dumps(record).encode() + b"\n")
     print("commands %d" % sum(exits.values()))
     for kind, s in sorted(seconds.items()):
         codes = {str(c): n for (k, c), n in sorted(exits.items()) if k == kind}
-        print("%-16s %8.2f s  exits %s" % (kind, s, json.dumps(codes)))
+        took, argv = slowest[kind]
+        print("%-16s %8.2f s  exits %s  slowest %.3f s: %s"
+              % (kind, s, json.dumps(codes), took, " ".join(argv)))
     print("sha256 %s" % digest.hexdigest())
 
 

@@ -71,9 +71,7 @@ class WeightedShape:
 
     @classmethod
     def from_json_obj(cls, obj):
-        parts = [INF if p == "inf" else int(p) for p in obj["lambda"]]
-        weights = [int(w) for w in obj["e"]]
-        return canonicalize(parts, weights)[0]
+        return canonicalize(*json_parts_weights(obj))[0]
 
     def __str__(self):
         ps = ",".join("inf" if p == INF else str(p) for p in self.parts)
@@ -306,6 +304,19 @@ def _bounded_compositions(total, caps):
 
     rec(0, total, [])
     return results
+
+
+def json_parts_weights(obj):
+    """(parts, weights) of a problem file's "lambda" and "e" lists, whose
+    entries are JSON integers, or "inf" among the parts.  Any other entry,
+    a float or a boolean included, is an InputError rather than truncated."""
+    def integer(v):
+        if type(v) is not int:
+            raise InputError('lambda and e entries must be integers or "inf", '
+                             'got %r' % (v,))
+        return v
+    return ([INF if p == "inf" else integer(p) for p in obj["lambda"]],
+            [integer(w) for w in obj["e"]])
 
 
 def parse_shape_arg(lambda_text, e_text):

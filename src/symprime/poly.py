@@ -10,13 +10,14 @@ no zero exponents.  A polynomial maps monomials to nonzero coefficients.
 This module also owns monomial orders (`MonomialOrder`) and the one packed
 monomial encoding (`PackedLayout`, after Monagan and Pearce, CASC 2007):
 each monomial is one int whose int order is the monomial order and whose
-`+` is the monomial product.  Large products, the canonical print and
-`canonical_lead` run on it, and so does the Groebner kernel.
+`+` is the monomial product.  `product` (a list of factors, each packed
+once), large `Poly` products, the canonical print and `canonical_lead`
+run on it, and so does the Groebner kernel.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import lcm
 
 FAMILIES = ("x", "t", "e", "z")
@@ -392,17 +393,21 @@ def clear_denominators(terms):
     return [(m, c.numerator * (d // c.denominator)) for m, c in terms], d
 
 
-def _support(terms):
-    """(variables, total degree) of a nonempty term dict."""
-    variables, top = set(), 0
-    for m in terms:
-        d = 0
-        for v, k in m:
-            variables.add(v)
-            d += k
-        if d > top:
-            top = d
-    return variables, top
+def _support(factors):
+    """(variables, degree) of the product of a list of nonempty term dicts:
+    the union of their variables and the sum of their total degrees."""
+    variables, degree = set(), 0
+    for terms in factors:
+        top = 0
+        for m in terms:
+            d = 0
+            for v, k in m:
+                variables.add(v)
+                d += k
+            if d > top:
+                top = d
+        degree += top
+    return variables, degree
 
 
 def _canonical_layout(variables, degree):
@@ -421,7 +426,7 @@ def _layout_of(variables, width):
 def _canonical_keys(terms):
     """Packed monomials of a nonempty term dict, in its order, whose int
     order is the canonical order: grevlex over the dict's variables."""
-    packed = _canonical_layout(*_support(terms)).pack(terms)[0]
+    packed = _canonical_layout(*_support([terms])).pack(terms)[0]
     return [m for m, _ in packed]
 
 
@@ -523,7 +528,7 @@ class Poly:
         if not a or not b:
             return Poly(f, {})
         if len(a) * len(b) >= _PACKED_PAIRS:
-            return Poly(f, _product(a, b, f.char))
+            return Poly(f, _product([a, b], f.char))
         out = {}
         add, mul = f.add, f.mul
         for m2, c2 in b.items():
@@ -684,31 +689,51 @@ class Poly:
 _PACKED_PAIRS = 12
 
 
-def _product(a, b, p):
-    """The term dict of the product of two nonempty term dicts over the
-    field of characteristic p.  Both are packed in the canonical layout of
-    their variables, with room for the product's degree; a monomial product
-    is an int `+`, coefficients accumulate as unreduced integers (over QQ
-    with denominators cleared), and each distinct product is normalized
-    and unpacked once."""
-    va, da = _support(a)
-    vb, db = _support(b)
-    layout = _canonical_layout(va | vb, da + db)
-    (pa, sa), (pb, sb) = (clear_denominators(layout.pack(t)[0]) for t in (a, b))
-    d = sa * sb  # 1 over GF(p)
-    out = {}
-    get = out.get
-    for ma, ca in pa:
-        for mb, cb in pb:
-            m = ma + mb
-            out[m] = get(m, 0) + ca * cb
+def _product(factors, p):
+    """The term dict of the product of a list of nonempty term dicts over
+    the field of characteristic p.  Each factor is packed once, in the
+    canonical layout of their joint variables with room for the sum of
+    their degrees, and the factors are folded left to right: a monomial
+    product is an int `+`, and coefficients accumulate as integers (over
+    QQ with each factor's denominators cleared, over GF(p) reduced after
+    each factor).  Each distinct monomial of the result is normalized and
+    unpacked once."""
+    layout = _canonical_layout(*_support(factors))
+    (out, den), *rest = [clear_denominators(layout.pack(t)[0]) for t in factors]
+    for i, (packed, d) in enumerate(rest, 1):
+        den *= d  # stays 1 over GF(p)
+        acc = {}
+        get = acc.get
+        for ma, ca in out:
+            for mb, cb in packed:
+                m = ma + mb
+                acc[m] = get(m, 0) + ca * cb
+        out = acc.items()
+        if i < len(rest):  # the last factor's product is reduced below
+            out = [(m, r) for m, c in out if (r := c % p if p else c)]
     unpack = layout.unpack
     if p:
-        return {unpack(m): r for m, c in out.items() if (r := c % p)}
-    if d == 1:
-        return {unpack(m): c for m, c in out.items() if c}
-    return {unpack(m): Fraction(c, d) if c % d else c // d
-            for m, c in out.items() if c}
+        return {unpack(m): r for m, c in out if (r := c % p)}
+    if den == 1:
+        return {unpack(m): c for m, c in out if c}
+    return {unpack(m): Fraction(c, den) if c % den else c // den
+            for m, c in out if c}
+
+
+def product(factors, field=QQ):
+    """The product of a list of polynomials over the field, multiplied in
+    one pass on packed monomials (`_product`): 1 for no factors, 0 if a
+    factor is 0."""
+    if any(f.field is not field for f in factors):
+        raise ValueError("mixed coefficient fields")
+    if len(factors) == 1:
+        return factors[0]
+    terms = [f.terms for f in factors]
+    if not terms:
+        return Poly.const(1, field)
+    if not all(terms):
+        return Poly(field, {})
+    return Poly(field, _product(terms, field.char))
 
 
 def poly_divides(d, f):
@@ -863,10 +888,5 @@ def discriminant(indices, family="x", field=QQ):
     indices = list(indices)
     if not indices:
         raise ValueError("discriminant requires a nonempty index set")
-    out = Poly.const(1, field)
-    for i in range(len(indices)):
-        for j in range(i + 1, len(indices)):
-            vi = Poly.variable((family, indices[i]), field)
-            vj = Poly.variable((family, indices[j]), field)
-            out = out * (vi - vj)
-    return out
+    v = [Poly.variable((family, i), field) for i in indices]
+    return product([vi - vj for vi, vj in combinations(v, 2)], field)

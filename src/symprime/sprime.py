@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .combinat import INF, WeightedShape, canonicalize
+from .combinat import INF, WeightedShape, canonicalize, json_parts_weights
 from .groebner import (DEFAULT_BUDGET, BudgetExceededError, Ideal,
                        ideal_member, is_unit_ideal, radical_member, saturate)
 from .poly import InputError, Poly, QQ, discriminant, evar, parse, tvar, xvar
@@ -45,8 +45,7 @@ class SPrimeData:
     @classmethod
     def from_json_obj(cls, obj):
         try:
-            parts = [INF if p == "inf" else int(p) for p in obj["lambda"]]
-            weights = [int(w) for w in obj["e"]]
+            parts, weights = json_parts_weights(obj)
             gens = [parse(s) for s in obj.get("Z", [])]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(str(exc)) from None

@@ -8,12 +8,13 @@ A valid witness lies in p's prime but not in the target prime.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import INF, good_pairs
 from .groebner import BudgetExceededError, DEFAULT_BUDGET
-from .poly import InputError, Poly, QQ, discriminant, xvar
+from .poly import InputError, Poly, QQ, product, xvar
 from .sprime import member
 from .theta import projection_ideal
 
@@ -70,34 +71,19 @@ def compatible_partitions(gp, layout, source, budget=None):
     """
     allowed = [gp.fiber(beta) for beta, block in enumerate(layout.blocks)
                for _ in block]
-    total = 1
-    for a in allowed:
-        total *= len(a)
+    total = math.prod(len(a) for a in allowed)
     if total > (budget or DEFAULT_BUDGET).max_reductions:
         raise BudgetExceededError("trace space of size %d exceeds budget" % total)
+    sub_blocks = [sub for subs in layout.sub_blocks for sub in subs]
     out = []
     for choice in itertools.product(*allowed):
-        counts = {}
-        for alpha in choice:
-            counts[alpha] = counts.get(alpha, 0) + 1
-        if any(alpha not in counts for alpha in gp.domain):
+        if any(alpha not in choice for alpha in gp.domain):
             continue
-        if any(source.parts[a] != INF and counts.get(a, 0) > source.parts[a]
+        if any(source.parts[a] != INF and choice.count(a) > source.parts[a]
                for a in gp.domain):
             continue
-        ok = True
-        for beta, subs in enumerate(layout.sub_blocks):
-            for sub in subs:
-                local = {}
-                for i in sub:
-                    a = choice[i - 1]
-                    local[a] = local.get(a, 0) + 1
-                if any(cnt > source.weights[a] for a, cnt in local.items()):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        picked = ([choice[i - 1] for i in sub] for sub in sub_blocks)
+        if all(p.count(a) <= source.weights[a] for p in picked for a in p):
             out.append(choice)
     return tuple(out)
 
@@ -112,52 +98,25 @@ def _lift(u, trace, source_r):
     return u.substitute(rename)
 
 
-def _h1(layout):
-    out = Poly.const(1, QQ)
-    for subs in layout.sub_blocks:
-        for sub in subs:
-            out = out * discriminant(sub, "x", QQ)
-    return out
-
-
-def _h2(layout):
-    out = Poly.const(1, QQ)
-    for b1, b2 in itertools.combinations(range(len(layout.blocks)), 2):
-        for i in layout.blocks[b1]:
-            for j in layout.blocks[b2]:
-                lo, hi = min(i, j), max(i, j)
-                diff = Poly.variable(xvar(lo), QQ) - Poly.variable(xvar(hi), QQ)
-                out = out * diff ** layout.N
-    return out
-
-
-def _h3_factors(source, layout, u_choices, budget=None):
-    """Distinct lifted-and-raised locus factors, in order of first
-    appearance, over the good pairs keying u_choices."""
-    return dict.fromkeys(
-        _lift(u, trace, source.r) ** (len(gp.domain) * source.e_max())
-        for gp, u in u_choices.items()
-        for trace in compatible_partitions(gp, layout, source, budget))
-
-
-def _h12_degree(layout):
-    """Degree of h1*h2, read off the layout without expanding either."""
-    h1 = sum(len(sub) * (len(sub) - 1) // 2
-             for subs in layout.sub_blocks for sub in subs)
-    h2 = layout.N * sum(len(a) * len(b)
-                        for a, b in itertools.combinations(layout.blocks, 2))
-    return h1 + h2
+def _differences(layout, budget):
+    """(h1, h2, degree of h1*h2): h1's differences x_i - x_j, i < j, inside
+    each jet sub-block and h2's across each two distinct blocks.  The
+    degree, len(h1) + N*len(h2), is counted and checked against the budget
+    first: a window too large for it has too many differences to list."""
+    sub_blocks = [sub for subs in layout.sub_blocks for sub in subs]
+    block_pairs = list(itertools.combinations(layout.blocks, 2))
+    degree = (sum(math.comb(len(sub), 2) for sub in sub_blocks)
+              + layout.N * sum(len(a) * len(b) for a, b in block_pairs))
+    _check_degree(degree, budget)
+    x = {i: Poly.variable(xvar(i), QQ) for i in range(1, layout.m + 1)}
+    h1 = [x[i] - x[j] for sub in sub_blocks for i, j in itertools.combinations(sub, 2)]
+    h2 = [x[i] - x[j] for a, b in block_pairs for i in a for j in b]
+    return h1, h2, degree
 
 
 def _check_degree(degree, budget):
     if degree > budget.max_degree:
         raise BudgetExceededError("witness degree %d exceeds budget" % degree)
-
-
-def _times(a, b, budget):
-    """a * b, unless its degree would exceed the budget's max_degree."""
-    _check_degree(a.degree() + b.degree(), budget)
-    return a * b
 
 
 def witnesses(source, target, locus_gens, budget=None):
@@ -168,18 +127,24 @@ def witnesses(source, target, locus_gens, budget=None):
     yielded per choice of one generator for each good pair: h1*h2 is built
     once and multiplied by the distinct locus factors of that choice.  With
     no good pairs the single witness is h1*h2.  Raises BudgetExceededError
-    before h1*h2 or a partial product would exceed the budget's max_degree.
+    before multiplying if h1*h2 or a partial product would exceed the
+    budget's max_degree, summing the degrees of the factors.
     """
     budget = budget or DEFAULT_BUDGET
     layout = WitnessLayout.build(source, target)
-    _check_degree(_h12_degree(layout), budget)
-    h12 = _h1(layout) * _h2(layout)
+    h1, h2, degree = _differences(layout, budget)
+    h12 = product(h1 + [d ** layout.N for d in h2], QQ)
     for picks in itertools.product(*locus_gens.values()):
-        h = h12
-        for factor in _h3_factors(source, layout, dict(zip(locus_gens, picks)),
-                                  budget):
-            h = _times(h, factor, budget)
-        yield h
+        # h3: the distinct lifted and raised locus factors, in order of
+        # first appearance
+        h3 = list(dict.fromkeys(
+            _lift(u, trace, source.r) ** (len(gp.domain) * source.e_max())
+            for gp, u in zip(locus_gens, picks)
+            for trace in compatible_partitions(gp, layout, source, budget)))
+        degrees = (f.degree() for f in h3)
+        for total in itertools.accumulate(degrees, initial=degree):
+            _check_degree(total, budget)
+        yield product([h12] + h3, QQ)
 
 
 def build_h(p, q_shape, q_point=None, budget=None):

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from symprime.cli import main
+from symprime.combinat import WeightedShape
+from symprime.poly import InputError
 
 
 @pytest.fixture()
@@ -148,6 +150,26 @@ def test_input_error_exit_code(problem_files, capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: cannot load prime data from %s: " % path)
+
+
+@pytest.mark.parametrize("obj", [
+    {"lambda": ["inf", 1.9], "e": [2.7, True]},
+    {"lambda": ["inf", 1], "e": [2, True]},
+    {"lambda": ["inf", 1.0], "e": [2, 1]},
+    {"lambda": [True], "e": [2]},
+    {"lambda": ["inf"], "e": [2.0]},
+    {"lambda": ["inf"], "e": ["2"]},
+])
+def test_problem_files_reject_non_integer_numbers(obj, capsys, tmp_path):
+    # int() would truncate 1.9 to 1 and read true as 1
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(obj))
+    assert main(["gens", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert 'lambda and e entries must be integers or "inf", got ' in captured.err
+    with pytest.raises(InputError):
+        WeightedShape.from_json_obj(obj)
 
 
 def test_failed_verification_exit_code(capsys, monkeypatch):
@@ -305,19 +327,24 @@ def test_max_degree_bounds_built_witnesses(problem_files, capsys, tmp_path):
 
 def test_witness_degree_budget_fires_before_expanding(capsys, tmp_path, monkeypatch):
     # h1*h2 has degree 4 + 5*16 = 84; h2 alone would expand to a huge
-    # polynomial, so the budget must be checked before it is built
+    # polynomial, so the budget must be checked before any product is built;
+    # a window of 4000 indices has 6 million differences, so it must be
+    # checked before they are listed as well
     import symprime.witness as witness
 
     def unbuilt(*args):
-        raise AssertionError("h2 was expanded")
-    monkeypatch.setattr(witness, "_h2", unbuilt)
+        raise AssertionError("a difference or a product was built")
+    monkeypatch.setattr(witness, "product", unbuilt)
+    monkeypatch.setattr(witness, "xvar", unbuilt)
     path = tmp_path / "fin31.json"
     path.write_text(json.dumps({"lambda": ["inf", 1], "e": [3, 1], "Z": ["t1"]}))
-    code = main(["witness", str(path), "--lambda", "inf,inf", "--e", "2,2",
-                 "--max-degree", "60"])
-    captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    assert "budget exhausted: witness degree 84 exceeds budget" in captured.err
+    for e, limit, degree in (("2,2", "60", 84), ("1000,1000", "120", 21998000)):
+        code = main(["witness", str(path), "--lambda", "inf,inf", "--e", e,
+                     "--max-degree", limit])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert ("budget exhausted: witness degree %d exceeds budget" % degree
+                in captured.err)
 
 
 def test_version_embedded(problem_files, capsys):

@@ -1,5 +1,7 @@
 """Finite generating sets and their verification."""
 
+import hashlib
+
 import pytest
 
 from symprime.combinat import INF, box_candidates, shape, shape_leq, shape_sort_key
@@ -87,6 +89,20 @@ def test_verify_gens_circle():
     report = verify_gens(CIRCLE)
     assert len(report) == 8
     assert all(report.values()), report
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, count, digest", [
+    ("fin31", 8, "78caf5b126f2cceaae77c95c46fd8dacdd3e00c41fad562e43b98dfa9a2302c2"),
+    ("q3pts", 62, "3df21cf96ba5cd7f02c2761a17ff80bd1fec512204bf489457bd47d16a46ac6c"),
+])
+def test_full_gens_of_the_largest_products_are_pinned(name, count, digest):
+    # the acceptance pool's longest chains of witness products; the values
+    # were recorded from the construction that multiplied one factor at a
+    # time with Poly.__mul__
+    gens = full_gens(_pool()[name])
+    assert len(gens) == count
+    assert hashlib.sha256("\n".join(map(str, gens)).encode()).hexdigest() == digest
 
 
 def test_separating_power_against_obstructions():

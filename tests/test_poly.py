@@ -179,6 +179,23 @@ def reference_product(a, b):
     return {m: c for m, c in out.items() if c}
 
 
+def reference_fold(factors, field):
+    """The product of a list of factors: reference_product folded from 1."""
+    out = Poly.const(1, field)
+    for f in factors:
+        out = Poly(field, reference_product(out, f))
+    return out.terms
+
+
+def assert_chain_matches_the_fold(factors, field):
+    got = poly.product(factors, field)
+    assert got.field is field
+    assert got.terms == reference_fold(factors, field)
+    # integral values are ints over QQ, residues are ints over GF(p)
+    assert all(type(c) is int or (field is QQ and c.denominator != 1)
+               for c in got.terms.values())
+
+
 def _coeff(rng, field):
     """A nonzero coefficient: half of those over QQ non-integral."""
     if field.char:
@@ -212,6 +229,10 @@ def test_products_match_the_tuple_reference(field, seed):
         assert all(type(c) is int for c in product.terms.values()) or field is QQ
         pairs.add(len(a.terms) * len(b.terms) >= poly._PACKED_PAIRS)
     assert pairs == {False, True}  # both the tuple and the packed path ran
+    for n in (0, 1, 2, 5):
+        chain = [_sparse_poly(rng, field, ALL_FAMILIES, rng.randint(1, 6), rng.choice((2, 5, 40)))
+                 for _ in range(n)]
+        assert_chain_matches_the_fold(chain, field)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5), GF(32003)], ids=["QQ", "GF5", "GF32003"])
@@ -235,11 +256,24 @@ def test_packed_products_edge_cases(field):
     for a, b in cases:
         expected = reference_product(a, b)
         # the packed path whatever the size, and the operator's choice
-        assert poly._product(a.terms, b.terms, field.char) == expected
-        assert poly._product(b.terms, a.terms, field.char) == expected
+        assert poly._product([a.terms, b.terms], field.char) == expected
+        assert poly._product([b.terms, a.terms], field.char) == expected
         assert (a * b).terms == expected
     if field.char == 5:
         assert P("(x1 + t1)^4") * P("x1 + t1") == P("x1^5 + t1^5")
+    # chains: cross terms that cancel between factors, a zero factor,
+    # fractional coefficients, and five of the edge cases above in one chain
+    cancel = [P("x1 - x2"), P("x1 + x2"), P("x1^2 + x2^2")]
+    assert poly.product(cancel, field) == P("x1^4 - x2^4")
+    chains = [[], [P("x1 + 2*t1")], cancel, cancel + [P("x1^4 + x2^4"), P("x1^8 - x2^8")],
+              [P("x1 + 1"), Poly.zero(field), P("t1 - e1")],
+              [P("1/2*x1 - 2/3*t1"), P("3/4*x1^2 + e1"), P("x1 + 7/2"), P("2/3"), P("6*t1")],
+              [a for a, _ in cases[:5]]]
+    for chain in chains:
+        assert_chain_matches_the_fold(chain, field)
+    assert poly.product([], field) == 1 and poly.product(cancel[:1], field) is cancel[0]
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        poly.product([P("x1 + 1"), parse("x1 + 2", field=GF(7))], field)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
