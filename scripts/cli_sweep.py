@@ -18,6 +18,11 @@ sha256 over (argv, stdout, stderr, exit code) of every command.  Two
 source trees give the same hash exactly when every command gives the same
 output and exit code.
 
+Then it replays every command once more in the same process, over the
+same files, and prints how many records differ from their first run: a
+cache that outlives a command must not change what a later one reports.
+The hash covers the first round only.
+
     PYTHONPATH=src python3 scripts/cli_sweep.py
 """
 
@@ -133,17 +138,23 @@ def main():
             Path(tmp, name + ".json").write_text(
                 json.dumps({"lambda": parts, "e": weights, "Z": z}))
 
-        def path(a):
-            return str(Path(tmp, a + ".json")) if a in POOL else a
+        def record(argv):
+            out, err, code = run([str(Path(tmp, a + ".json")) if a in POOL else a
+                                  for a in argv])
+            return [argv, out, err.replace(tmp, "<tmp>"), code]
+        first = []
         for argv in commands():
             start = time.perf_counter()
-            out, err, code = run([path(a) for a in argv])
+            rec = record(argv)
             took = time.perf_counter() - start
             seconds[argv[0]] += took
             slowest[argv[0]] = max(slowest.get(argv[0], (0.0, argv)), (took, argv))
-            exits[argv[0], code] += 1
-            record = [argv, out, err.replace(tmp, "<tmp>"), code]
-            digest.update(json.dumps(record).encode() + b"\n")
+            exits[argv[0], rec[3]] += 1
+            digest.update(json.dumps(rec).encode() + b"\n")
+            first.append(rec)
+        start = time.perf_counter()
+        differ = sum(record(rec[0]) != rec for rec in first)
+        replay_s = time.perf_counter() - start
     print("commands %d" % sum(exits.values()))
     for kind, s in sorted(seconds.items()):
         codes = {str(c): n for (k, c), n in sorted(exits.items()) if k == kind}
@@ -151,6 +162,7 @@ def main():
         print("%-16s %8.2f s  exits %s  slowest %.3f s: %s"
               % (kind, s, json.dumps(codes), took, " ".join(argv)))
     print("sha256 %s" % digest.hexdigest())
+    print("replay %.2f s  records differing from the first run: %d" % (replay_s, differ))
 
 
 if __name__ == "__main__":

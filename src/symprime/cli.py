@@ -14,6 +14,7 @@ witness point), 3 budget exhaustion, 4 any other fault, reported as one
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .combinat import parse_shape_arg, psi0
@@ -28,12 +29,22 @@ from .witness import NoWitnessError, WitnessLayout, build_h
 
 
 def _load_prime(path):
+    """The prime of a problem file, read on every call; equal texts share
+    one loaded prime (`_prime_of_text`)."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
-        return SPrimeData.from_json_obj(obj)
+            return _prime_of_text(fh.read())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, InputError) as exc:
         raise InputError("cannot load prime data from %s: %s" % (path, exc))
+
+
+@lru_cache(maxsize=None)
+def _prime_of_text(text):
+    """The prime a problem file's text describes, memoized by the text,
+    unbounded: a session that names the same files again parses and
+    canonicalizes each one once, and an edited file is a new key.  Errors
+    are not stored, so a malformed file fails on every load."""
+    return SPrimeData.from_json_obj(json.loads(text))
 
 
 def _emit(report, budget):

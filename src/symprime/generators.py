@@ -9,21 +9,26 @@ over the good pairs of every admissible target shape.
 import itertools
 
 from .combinat import box_candidates, good_pairs, psi0, shape_leq, shape_sort_key
-from .poly import Poly, canonical_lead, poly_divides, xvar
+from .poly import Poly, poly_divides, xvar
 from .sprime import member
 from .theta import projection_ideal, theta_pair
 from .witness import witnesses
 
 
 def sign_normalize(f):
-    """Scale by -1 if needed so the canonically-leading coefficient is positive."""
+    """Scale by -1 if needed so the canonically-leading coefficient is positive.
+
+    The print starts with the canonical lead, so its text, which
+    `dedup_sorted` sorts by anyway, gives the sign: a generator whose lead
+    is positive is put in canonical order once."""
     if f.is_zero() or f.field.char != 0:
         return f
-    return f if f.terms[canonical_lead(f)] > 0 else -f
+    return -f if str(f).startswith("-") else f
 
 
 def dedup_sorted(polys):
-    unique = dict.fromkeys(sign_normalize(g) for g in polys)
+    # repeats are dropped before any is printed to read its sign
+    unique = dict.fromkeys(map(sign_normalize, dict.fromkeys(polys)))
     return tuple(sorted(unique, key=lambda g: (g.degree(), len(g.terms), str(g))))
 
 

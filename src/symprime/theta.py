@@ -10,6 +10,7 @@ of the good pairs.
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .combinat import good_pairs
 from .groebner import (Ideal, eliminate, groebner_basis, ideal_intersect,
@@ -63,8 +64,16 @@ def theta_pair(p, target, gp, budget=None):
     return Ideal(gens, ambient=ambient)
 
 
+@lru_cache(maxsize=None)
 def theta(p, target, budget=None):
-    """Intersection over all good pairs; the unit ideal when none exist."""
+    """Intersection over all good pairs; the unit ideal when none exist.
+
+    Memoized by value, unbounded, like `sprime._saturated`: the prime data,
+    the target shape and the budget are frozen and hash by value, so an
+    equal prime loaded again is served, and only under the budget that
+    computed the result.  A budget error is not stored and is raised again
+    by the next call.
+    """
     gps = good_pairs(target, p.shape)
     ambient = tuple(tvar(b + 1) for b in range(target.r))
     if not gps:

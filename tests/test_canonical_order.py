@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fractions import Fraction
 
+from symprime.generators import sign_normalize
 from symprime.groebner import MonomialOrder
 from symprime.poly import (FAMILIES, GF, Poly, QQ, canonical_key, canonical_lead, var_key,
                            var_name)
@@ -74,3 +75,5 @@ def test_print_and_lead_follow_canonical_key(terms, char):
     assert str(f) == reference_text(f)
     if f.terms:
         assert canonical_lead(f) == max(f.terms, key=canonical_key)
+        if char == 0:
+            assert sign_normalize(f).terms[canonical_lead(f)] > 0

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from symprime.cli import main
+from symprime.cli import _load_prime, _prime_of_text, main
 from symprime.combinat import WeightedShape
 from symprime.poly import InputError
 
@@ -250,8 +250,10 @@ def test_any_library_fault_exits_4(problem_files, capsys, monkeypatch, exc):
 
 def test_kernel_fault_while_loading_a_prime_exits_4(problem_files, capsys, monkeypatch):
     # only a malformed file is an input error; a fault in the saturation
-    # that make_sprime runs is the library's
+    # that make_sprime runs is the library's.  An earlier test may have
+    # loaded the same file text, so empty the load memo for make_sprime to run
     from symprime import sprime
+    _prime_of_text.cache_clear()
 
     def fail(I, budget=None):
         raise ValueError("monomial uses variables outside the order: [('z', 1)]")
@@ -262,6 +264,34 @@ def test_kernel_fault_while_loading_a_prime_exits_4(problem_files, capsys, monke
     assert captured.out == ""
     assert captured.err.startswith("internal error: ValueError: monomial uses")
     assert captured.err.count("\n") == 1
+
+
+def test_rewritten_problem_file_is_loaded_again(problem_files, capsys):
+    code, report = run(capsys, "contain", problem_files["line"], problem_files["origin2"])
+    assert code == 0 and report["contains"] is True
+    with open(problem_files["origin3"]) as fh:
+        text = fh.read()
+    with open(problem_files["origin2"], "w") as fh:
+        fh.write(text)
+    code, report = run(capsys, "contain", problem_files["line"], problem_files["origin2"])
+    assert code == 0 and report["contains"] is False
+
+
+def test_equal_problem_texts_share_one_loaded_prime(problem_files, tmp_path):
+    copy = tmp_path / "copy.json"
+    with open(problem_files["circle"]) as fh:
+        copy.write_text(fh.read())
+    assert _load_prime(str(copy)) is _load_prime(problem_files["circle"])
+
+
+def test_malformed_file_exits_2_on_every_load(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"lambda": ["inf"], "e": [2], "Z": ["t1+"]}))
+    for _ in range(2):
+        assert main(["gens", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot load prime data from %s: " % bad)
 
 
 def test_parser_is_built_once(problem_files, capsys, monkeypatch):

@@ -6,7 +6,8 @@ import warnings
 import pytest
 
 from symprime.combinat import GoodPair, INF, shape
-from symprime.groebner import Ideal, ideal_equal, radical_member, saturate
+from symprime.groebner import (Budget, BudgetExceededError, Ideal, ideal_equal,
+                               radical_member, saturate)
 from symprime.poly import Poly, QQ, discriminant, parse, tvar
 from symprime.sprime import SPrimeData, _saturated, make_sprime
 from symprime.theta import contains, equal, projection_ideal, theta, theta_pair
@@ -40,6 +41,30 @@ def test_projection_ideal_reuses_the_elimination_basis(buchberger_calls):
         counts.append(len(buchberger_calls) - before)
     # one block-order basis of the saturation, then only cache hits
     assert counts == [1, 0, 0]
+
+
+def test_theta_of_a_reloaded_prime_is_served_by_the_memo(buchberger_calls):
+    theta.cache_clear()
+    target = shape([INF, INF], [2, 2])
+    first = make_sprime([INF, INF], [2, 2], [parse("t1^2+t2^2-1")])
+    th = theta(first, target)
+    assert buchberger_calls  # at least the intersection of the two components
+    again = make_sprime([INF, INF], [2, 2], [parse("t1^2+t2^2-1")])
+    assert again == first and again is not first
+    before = len(buchberger_calls)
+    assert theta(again, target) == th
+    assert len(buchberger_calls) == before
+
+
+def test_theta_memo_is_keyed_by_the_budget():
+    # the two components' intersection needs more than one division step
+    p = make_sprime([INF, INF], [1, 1], [parse("t1+t2-1")])
+    target = shape([INF, INF], [1, 1])
+    assert theta(p, target).ideal.gens
+    assert theta(p, target, Budget(max_reductions=2_000_000)).ideal.gens
+    for _ in range(2):  # an exhausted budget is not remembered either
+        with pytest.raises(BudgetExceededError):
+            theta(p, target, Budget(max_reductions=1))
 
 
 def test_theta_examples():
