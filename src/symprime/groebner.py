@@ -448,7 +448,30 @@ def saturate(I, f, budget=None):
 
 
 def radical_member(f, I, budget=None):
-    """True iff f vanishes on the variety of I (Rabinowitsch trick)."""
+    """True iff f vanishes on the variety of I, i.e. f lies in the radical of I.
+
+    A member of I is a member of its radical.  When every leading monomial
+    of I's reduced basis (default order) is squarefree, I is radical
+    (Sturmfels, Groebner Bases and Convex Polytopes, 1996), so f outside I
+    is outside its radical.  Proof: say f^k lies in I, and let r be f's
+    remainder by the basis, so r^k lies in I too.  If r is nonzero with
+    leading monomial m, then m^k lies in in<(I); squarefree monomials
+    generate in<(I), and a squarefree monomial divides m^k only if it
+    divides m, so m lies in in<(I), against r being reduced.  Hence r = 0.
+    This covers the zero and the unit ideal.  Any other basis goes to the
+    Rabinowitsch trick: f is in the radical iff I + (1 - z*f) is the unit
+    ideal.
+    """
+    budget = budget or DEFAULT_BUDGET
+    if ideal_member(f, I, budget):
+        return True
+    gb = groebner_basis(I, budget=budget)
+    if not gb.gens:
+        return False
+    layout, heads = _packed_heads(gb, I.default_order(), budget.max_degree)
+    unpack = layout.unpack
+    if all(k == 1 for lm, _, _ in heads for _, k in unpack(lm)):
+        return False
     return is_unit_ideal(_rabinowitsch(I, f)[0], budget)
 
 

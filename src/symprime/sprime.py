@@ -362,8 +362,7 @@ def member(f, p, budget=None):
         raise BudgetExceededError("placement space of size %d exceeds budget" % count)
     for _assign, coeffs in _walk(f, xs, p.shape, part_classes(p, budget)):
         for tpoly in coeffs.values():
-            if not (ideal_member(tpoly, sat, budget)
-                    or radical_member(tpoly, sat, budget)):
+            if not radical_member(tpoly, sat, budget):
                 return False
     return True
 

@@ -381,3 +381,41 @@ def test_version_embedded(problem_files, capsys):
     import symprime
     _, report = run(capsys, "psi0", "--lambda", "inf", "--e", "1")
     assert report["version"] == symprime.__version__
+
+
+# (parts, weights, configuration ideal) of primes of the acceptance pool
+BUDGET_POOL = {
+    "diag1": (["inf"], [1], []),
+    "allzero2": (["inf"], [2], ["t1"]),
+    "allzero3": (["inf"], [3], ["t1"]),
+    "one2": (["inf"], [2], ["t1-1"]),
+    "free22": (["inf", "inf"], [2, 2], []),
+    "line0": (["inf", "inf"], [1, 1], ["t1+t2"]),
+    "line1": (["inf", "inf"], [1, 1], ["t1+t2-1"]),
+    "circle11": (["inf", "inf"], [1, 1], ["t1^2+t2^2-1"]),
+    "circle22": (["inf", "inf"], [2, 2], ["t1^2+t2^2-1"]),
+    "point": (["inf", "inf"], [1, 1], ["t1-1", "t2+1"]),
+    "fin31": (["inf", 1], [3, 1], ["t1"]),
+    "q3pts": (["inf", 1, 1], [1, 1, 1], ["t1", "t2-1", "t3-2"]),
+}
+
+
+def test_tiny_budgets_exit_3_or_repeat_the_default_answer(tmp_path, capsys):
+    # a budget may stop a containment, but never change its answer
+    paths = {}
+    for name, (parts, weights, z) in BUDGET_POOL.items():
+        paths[name] = tmp_path / (name + ".json")
+        paths[name].write_text(json.dumps({"lambda": parts, "e": weights, "Z": z}))
+    keys = ("contains", "theta", "separator")
+    for p in BUDGET_POOL:
+        for q in BUDGET_POOL:
+            argv = ["contain", str(paths[p]), str(paths[q])]
+            code, report = run(capsys, *argv)
+            assert code == 0
+            want = {k: report[k] for k in keys}
+            for budget in (["--max-reductions", "1"], ["--max-reductions", "2"],
+                           ["--max-degree", "1"], ["--max-degree", "2"]):
+                code, report = run(capsys, *argv, *budget)
+                assert code in (0, 3), (p, q, budget)
+                if code == 0:
+                    assert {k: report[k] for k in keys} == want, (p, q, budget)

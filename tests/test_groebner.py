@@ -100,6 +100,27 @@ def test_radical_member_examples():
     assert radical_member(parse("t1-5"), Ideal([parse("1")]))
 
 
+@pytest.mark.parametrize("gens", [["t1+t2"], ["t1-1", "t2+1"], ["t1*t2"], []])
+def test_radical_member_on_squarefree_heads_runs_no_buchberger(gens, buchberger_calls):
+    # a line, a point, two lines and the zero ideal: their reduced bases
+    # have squarefree leading monomials, so the ideals are radical and a
+    # non-member of I is a non-member of its radical
+    I = Ideal([parse(g) for g in gens], ambient=(tvar(1), tvar(2)))
+    groebner_basis(I)
+    buchberger_calls.clear()
+    assert not radical_member(parse("t1"), I)
+    assert not radical_member(parse("t1 + t3"), I)
+    assert buchberger_calls == []
+
+
+def test_radical_member_off_squarefree_heads_runs_one_buchberger(buchberger_calls):
+    I = Ideal([parse("t1^2")])
+    groebner_basis(I)
+    buchberger_calls.clear()
+    assert radical_member(parse("t1"), I)
+    assert len(buchberger_calls) == 1
+
+
 def test_ideal_intersect_examples():
     amb = (tvar(1), tvar(2))
     J = ideal_intersect(Ideal([parse("t1")], ambient=amb),

@@ -15,11 +15,12 @@ sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
+from symprime import groebner
 from symprime.groebner import (Budget, BudgetExceededError, Ideal,
                                MonomialOrder, eliminate, groebner_basis,
-                               ideal_intersect, ideal_member, saturate)
+                               ideal_intersect, ideal_member, radical_member, saturate)
 from symprime.poly import (FAMILIES, GF, PackedLayout, Poly, QQ, mono_divides, mono_lcm,
-                           mono_mul, tvar, var_key)
+                           mono_mul, parse, tvar, var_key)
 
 P = 32003
 SMALL = st.integers(-3, 3).filter(bool)
@@ -178,6 +179,101 @@ def test_a_wide_degree_bound_widens_the_fields(kind, field):
     want = _sympy_groebner([_expr(g) for g in I.gens], _symbols(2), kind, field)
     assert (_monic_set(got, 2, field.char)
             == _monic_set([_from_sympy(g, 2, field) for g in want.exprs], 2, field.char))
+
+
+# -- radical membership ------------------------------------------------------
+
+def _sympy_radical_member(I, f, nvars, field):
+    """sympy's answer: f is in the radical of I iff the reduced basis of
+    I + (1 - z*f) is (1)."""
+    z = sympy.Symbol("z")
+    exprs = [_expr(g) for g in I.gens] + [1 - z * _expr(f)]
+    return _sympy_groebner(exprs, _symbols(nvars) + [z], "grevlex", field).exprs == [1]
+
+
+@st.composite
+def radical_cases(draw, field, coeffs):
+    """(I, f, nvars) with I of one of three kinds: random generators;
+    products of powers of small generators, which are rarely radical; or
+    linear generators, whose reduced basis has squarefree (linear)
+    leading monomials.  With products of powers f is often one of the
+    small generators or their product."""
+    nvars = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["random", "powers", "linear"]))
+    if kind == "linear":
+        exps = st.sampled_from([tuple(int(i == j) for i in range(nvars))
+                                for j in range(nvars + 1)])
+        items = st.lists(st.tuples(coeffs, exps), min_size=1, max_size=3)
+        gens = [_poly(draw(items), nvars, field)
+                for _ in range(draw(st.integers(1, nvars)))]
+    else:
+        base = [_poly(items, nvars, field)
+                for items in draw(ideals(nvars, 2 if kind == "random" else 1,
+                                         coeffs=coeffs))]
+        if kind == "random":
+            gens = base
+        else:
+            powers = st.lists(st.integers(0, 2), min_size=len(base), max_size=len(base))
+            gens = []
+            for _ in range(draw(st.integers(1, 2))):
+                g = Poly.const(1, field)
+                for b, k in zip(base, draw(powers)):
+                    g = g * b ** k
+                gens.append(g)
+    I = Ideal(gens, ambient=tuple(tvar(i) for i in range(1, nvars + 1)), field=field)
+    f = _poly(draw(ideals(nvars, 2, ngens=1, coeffs=coeffs))[0], nvars, field)
+    if kind == "powers":
+        # the product of the small generators vanishes wherever I does
+        product = Poly.const(1, field)
+        for b in base:
+            product = product * b
+        f = draw(st.sampled_from([f, product] + base))
+    return I, f, nvars
+
+
+@pytest.mark.parametrize("field", ["QQ", "GF32003"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_radical_member_matches_sympy(field, data):
+    field, coeffs = FIELDS[field]
+    I, f, nvars = data.draw(radical_cases(field, coeffs))
+    assert radical_member(f, I) == _sympy_radical_member(I, f, nvars, field)
+
+
+# (generators, ambient size, f, answer, whether the Rabinowitsch fallback runs)
+RADICAL_EXAMPLES = [
+    (["t1*t2"], 2, "t1*t2", True, False),
+    (["t1*t2"], 2, "t1", False, False),
+    (["t1^2"], 1, "t1", True, True),
+    (["t1^2+t2^2-1"], 2, "t1", False, True),
+    (["t1^2+t2^2-1"], 2, "t1*(t1^2+t2^2-1)", True, False),
+    ([], 2, "t1", False, False),
+    ([], 2, "0", True, False),
+    (["1"], 2, "t1", True, False),
+    (["t1"], 1, "t2", False, False),
+    (["t1"], 1, "t1*t2", True, False),
+    (["t1^2"], 1, "t1*t2", True, True),
+]
+
+
+@pytest.mark.parametrize("field", ["QQ", "GF32003"])
+@pytest.mark.parametrize("gens, n, f, answer, fallback", RADICAL_EXAMPLES)
+def test_radical_member_examples_match_sympy(gens, n, f, answer, fallback, field,
+                                             monkeypatch):
+    field = FIELDS[field][0]
+    I = Ideal([parse(g, field) for g in gens], ambient=tuple(tvar(i) for i in range(1, n + 1)),
+              field=field)
+    f = parse(f, field)
+    calls = []
+    real = groebner._rabinowitsch
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(groebner, "_rabinowitsch", counted)
+    assert radical_member(f, I) == answer
+    assert bool(calls) == fallback
+    assert _sympy_radical_member(I, f, 2, field) == answer
 
 
 # -- packed monomials -------------------------------------------------------

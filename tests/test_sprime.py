@@ -295,19 +295,19 @@ def test_asymmetric_locus_keeps_the_swapped_placements():
 
 @pytest.fixture()
 def walk_counts(monkeypatch):
-    """Counts of walk leaves and of `ideal_member` calls made by sprime."""
-    counts = {"leaves": 0, "ideal_member": 0}
-    leaf, ideal_member = sprime._Jets.coefficients, sprime.ideal_member
+    """Counts of walk leaves, of the per-coefficient `radical_member` calls
+    and of the class checks' `ideal_member` calls made by sprime."""
+    counts = {"leaves": 0, "radical_member": 0, "ideal_member": 0}
 
-    def counted_leaf(*args):
-        counts["leaves"] += 1
-        return leaf(*args)
-
-    def counted_member(*args):
-        counts["ideal_member"] += 1
-        return ideal_member(*args)
-    monkeypatch.setattr(sprime._Jets, "coefficients", counted_leaf)
-    monkeypatch.setattr(sprime, "ideal_member", counted_member)
+    def counted(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
+    monkeypatch.setattr(sprime._Jets, "coefficients",
+                        counted("leaves", sprime._Jets.coefficients))
+    for name in ("radical_member", "ideal_member"):
+        monkeypatch.setattr(sprime, name, counted(name, getattr(sprime, name)))
     return counts
 
 
@@ -317,11 +317,11 @@ def test_circle_walks_one_placement_per_orbit(walk_counts):
     assert len(gens) == 8
     assert all(member(g, p) for g in gens)
     # every placement would be 108 leaves with 118 coefficients, each one
-    # ideal_member call; the orbits' 54 leaves hold 59, and the 60th call is
-    # the class check, made once for the prime
-    assert walk_counts == {"leaves": 54, "ideal_member": 60}
+    # radical_member call; the orbits' 54 leaves hold 59, and the one
+    # ideal_member call is the class check, made once for the prime
+    assert walk_counts == {"leaves": 54, "radical_member": 59, "ideal_member": 1}
     assert all(member(g, p) for g in gens)
-    assert walk_counts == {"leaves": 108, "ideal_member": 119}
+    assert walk_counts == {"leaves": 108, "radical_member": 118, "ideal_member": 1}
 
 
 @pytest.mark.parametrize("gens", [[], ["t1^2 - 2"]])
