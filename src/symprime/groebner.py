@@ -24,19 +24,19 @@ residues.  Over QQ the kernel is fraction-free: a head is a primitive
 integer polynomial (denominators cleared, content divided out, lc > 0), an
 S-polynomial is cross-multiplied by the heads' lcs over their gcd, and a
 division step multiplies the working dict by hc/gcd(lc, hc) only when the
-head's lc hc does not divide the leading coefficient lc.  Fractions appear
-only on the way out: a basis element is made monic, and a remainder is
-divided by its denominator and scale, at one `Fraction` per term.  A
-reduced basis keeps its packed heads, so `ideal_member` packs it once per
-order.
+head's lc hc does not divide the leading coefficient lc.  Field
+coefficients come back only on the way out, through `poly.divide_out`: a
+basis element is divided by its lc, and a remainder by its denominator
+and scale.  A reduced basis keeps its packed heads, and whether their
+leading monomials are all squarefree, so `ideal_member` and
+`radical_member` pack it once per order and degree bound.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .poly import (MonomialOrder, PackedLayout, Poly, QQ, clear_denominators, mono_div,
-                   mono_lcm, var_key, zvar)
+from .poly import (MonomialOrder, PackedLayout, Poly, QQ, clear_denominators, divide_out,
+                   mono_div, mono_lcm, var_key, zvar)
 
 
 class BudgetExceededError(RuntimeError):
@@ -56,9 +56,9 @@ class Ideal:
     """Finitely generated ideal with a per-order cache of reduced bases.
 
     Values are immutable apart from the caches (reduced bases, default
-    order, and on a reduced basis its packed heads); cache writes are
-    single idempotent assignments of a unique value, so concurrent use at
-    worst recomputes the same value.
+    order, and on a reduced basis its packed heads with their squarefree
+    flag); cache writes are single idempotent assignments of a unique
+    value, so concurrent use at worst recomputes the same value.
     """
 
     __slots__ = ("field", "gens", "ambient", "_gb", "_order", "_heads")
@@ -116,12 +116,18 @@ def normal_form(f, basis, order, budget=None):
         return f
     budget = budget or DEFAULT_BUDGET
     p = f.field.char
-    layout, packed = _pack_all(basis + [f], order, budget.max_degree)
-    heads = [_head(terms, p) for terms, _ in packed[:-1]]
-    work, den = clear_denominators(packed[-1][0])
+    layout, heads = _packed_heads(basis, order, max(budget.max_degree, f.degree()))
+    work, den = clear_denominators(layout.pack(f.terms)[0])
     r, scale = _divide(dict(work), heads, p, layout, budget)
     unpack = layout.unpack
-    return _quotient(f.field, [(unpack(m), c) for m, c in r.items()], den * scale)
+    return Poly(f.field, divide_out([(unpack(m), c) for m, c in r.items()], den * scale, p))
+
+
+def _packed_heads(basis, order, bound):
+    """(layout, normalized heads) of nonzero polynomials, in a layout for
+    the degree bound and for their own degrees."""
+    layout, packed = _pack_all(basis, order, bound)
+    return layout, [_head(terms, basis[0].field.char) for terms, _ in packed]
 
 
 def _pack_all(polys, order, bound):
@@ -155,18 +161,6 @@ def _head(terms, p):
             terms = [(m, c // g) for m, c in terms]
             lc //= g
     return lm, lc, [t for t in terms if t[0] != lm]
-
-
-def _quotient(field, terms, d):
-    """The Poly of (monomial, kernel coefficient) terms, each divided by
-    d: over QQ exactly, at one Fraction per term that d does not divide."""
-    if d == 1:
-        return Poly(field, dict(terms))
-    p = field.char
-    if p:
-        inv = pow(d, -1, p)
-        return Poly(field, {m: c * inv % p for m, c in terms})
-    return Poly(field, {m: Fraction(c, d) if c % d else c // d for m, c in terms})
 
 
 def _divide(work, heads, p, layout, budget):
@@ -282,12 +276,6 @@ def _buchberger(gens, order, budget):
     if not gens:
         return ()
     field = gens[0].field
-    if len(gens) == 1:
-        # a monic generator is its own reduced basis
-        g = gens[0]
-        terms, d = clear_denominators(g.terms.items())
-        lc = g.leading(order)[1]
-        return (_quotient(field, terms, lc.numerator * (d // lc.denominator)),)
     p = field.char
     layout, packed = _pack_all(gens, order, budget.max_degree)
     guard, mask = layout.guard, layout.mask
@@ -334,7 +322,7 @@ def _buchberger(gens, order, budget):
     reduced.sort(key=lambda h: h[0])
     unpack = layout.unpack
     # each head is made monic on the way out
-    return tuple(_quotient(field, [(unpack(m), c) for m, c in [(lm, lc)] + tail], lc)
+    return tuple(Poly(field, divide_out([(unpack(m), c) for m, c in [(lm, lc)] + tail], lc, p))
                  for lm, lc, tail in reduced)
 
 
@@ -356,37 +344,39 @@ def is_unit_ideal(I, budget=None):
 
 
 def ideal_member(f, I, budget=None):
-    """True iff f lies in I (extended to f's variables).  Grevlex over the
+    """True iff f lies in I (extended to f's variables)."""
+    return _divided(f, I, budget or DEFAULT_BUDGET)[0]
+
+
+def _divided(f, I, budget):
+    """(f lies in I, every leading monomial of I's reduced basis is
+    squarefree), from one division of f by that basis.  Grevlex over the
     wider set restricts to I's default order, so I's cached basis serves,
-    and so do the packed heads cached on it."""
-    budget = budget or DEFAULT_BUDGET
+    and so do the packed heads and the flag cached on it per (order,
+    degree budget).  The order is graded, so f of degree above the budget
+    leads with a term that the first division step would refuse; it is
+    refused before division, so the budget's layout always holds f."""
     fvars = f.variables()
     if fvars.issubset(I.ambient):
         order = I.default_order()
     else:
         order = MonomialOrder.grevlex(fvars.union(I.ambient))
     gb = groebner_basis(I, budget=budget)
-    if f.is_zero() or not gb.gens:
-        return f.is_zero()
-    layout, heads = _packed_heads(gb, order, budget.max_degree)
+    if not gb.gens:
+        return f.is_zero(), True
+    key = (order, budget.max_degree)
+    entry = gb._heads.get(key)
+    if entry is None:
+        layout, heads = _packed_heads(gb.gens, order, budget.max_degree)
+        unpack = layout.unpack
+        squarefree = all(k == 1 for lm, _, _ in heads for _, k in unpack(lm))
+        entry = gb._heads[key] = (layout, heads, squarefree)
+    layout, heads, squarefree = entry
     terms, top = layout.pack(f.terms)
-    if top > layout.bound:
-        layout, heads = _packed_heads(gb, order, top)
-        terms = layout.pack(f.terms)[0]
+    if top > budget.max_degree:
+        raise BudgetExceededError("degree %d exceeds budget" % top)
     work = dict(clear_denominators(terms)[0])
-    return not _divide(work, heads, I.field.char, layout, budget)[0]
-
-
-def _packed_heads(gb, order, bound):
-    """(layout, normalized heads) of a reduced basis in a layout for at
-    least the degree bound, cached on the basis per (order, bound)."""
-    key = (order, bound)
-    hit = gb._heads.get(key)
-    if hit is None:
-        layout, packed = _pack_all(gb.gens, order, bound)
-        heads = [_head(terms, gb.field.char) for terms, _ in packed]
-        hit = gb._heads[key] = (layout, heads)
-    return hit
+    return not _divide(work, heads, I.field.char, layout, budget)[0], squarefree
 
 
 def ideal_contains(I, J, budget=None):
@@ -462,16 +452,9 @@ def radical_member(f, I, budget=None):
     Rabinowitsch trick: f is in the radical iff I + (1 - z*f) is the unit
     ideal.
     """
-    budget = budget or DEFAULT_BUDGET
-    if ideal_member(f, I, budget):
-        return True
-    gb = groebner_basis(I, budget=budget)
-    if not gb.gens:
-        return False
-    layout, heads = _packed_heads(gb, I.default_order(), budget.max_degree)
-    unpack = layout.unpack
-    if all(k == 1 for lm, _, _ in heads for _, k in unpack(lm)):
-        return False
+    member, squarefree = _divided(f, I, budget or DEFAULT_BUDGET)
+    if member or squarefree:
+        return member
     return is_unit_ideal(_rabinowitsch(I, f)[0], budget)
 
 

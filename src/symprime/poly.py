@@ -315,11 +315,10 @@ class PackedLayout:
     polynomial only D = deg(f).
     """
 
-    __slots__ = ("bound", "fields", "mask", "guard", "_units", "_unit_at",
+    __slots__ = ("fields", "mask", "guard", "_units", "_unit_at",
                  "_exp_mask", "_exp_guard", "_width")
 
     def __init__(self, order, bound):
-        self.bound = bound
         w = max(1, (3 * bound).bit_length())
         f = w + 1
         runs = order._runs
@@ -391,6 +390,18 @@ def clear_denominators(terms):
     if d == 1:
         return terms, 1
     return [(m, c.numerator * (d // c.denominator)) for m, c in terms], d
+
+
+def divide_out(pairs, d, p):
+    """{key: c / d} over (key, int c) pairs, zeros dropped: the one way
+    kernel ints leave for field coefficients.  Over GF(p) a residue, over
+    QQ (p = 0) an int where d divides c and a reduced Fraction elsewhere."""
+    if p:
+        inv = pow(d, -1, p)
+        return {m: r for m, c in pairs if (r := c * inv % p)}
+    if d == 1:
+        return {m: c for m, c in pairs if c}
+    return {m: Fraction(c, d) if c % d else c // d for m, c in pairs if c}
 
 
 def _support(factors):
@@ -696,8 +707,8 @@ def _product(factors, p):
     their degrees, and the factors are folded left to right: a monomial
     product is an int `+`, and coefficients accumulate as integers (over
     QQ with each factor's denominators cleared, over GF(p) reduced after
-    each factor).  Each distinct monomial of the result is normalized and
-    unpacked once."""
+    each factor).  `divide_out` turns the coefficients back into field
+    elements, and each nonzero term's monomial is unpacked once."""
     layout = _canonical_layout(*_support(factors))
     (out, den), *rest = [clear_denominators(layout.pack(t)[0]) for t in factors]
     for i, (packed, d) in enumerate(rest, 1):
@@ -712,12 +723,7 @@ def _product(factors, p):
         if i < len(rest):  # the last factor's product is reduced below
             out = [(m, r) for m, c in out if (r := c % p if p else c)]
     unpack = layout.unpack
-    if p:
-        return {unpack(m): r for m, c in out if (r := c % p)}
-    if den == 1:
-        return {unpack(m): c for m, c in out if c}
-    return {unpack(m): Fraction(c, den) if c % den else c // den
-            for m, c in out if c}
+    return {unpack(m): c for m, c in divide_out(out, den, p).items()}
 
 
 def product(factors, field=QQ):

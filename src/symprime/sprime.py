@@ -21,13 +21,13 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import INF, WeightedShape, canonicalize, json_parts_weights
 from .groebner import (DEFAULT_BUDGET, BudgetExceededError, Ideal,
                        ideal_member, is_unit_ideal, radical_member, saturate)
-from .poly import InputError, Poly, QQ, discriminant, evar, parse, tvar, xvar
+from .poly import (InputError, Poly, QQ, clear_denominators, discriminant, divide_out,
+                   evar, parse, tvar, xvar)
 
 
 @dataclass(frozen=True)
@@ -119,12 +119,19 @@ def assignments(indices, shape):
 
 
 def _x_window(f):
-    xs = set()
-    for v in f.variables():
-        if v[0] != "x":
-            raise InputError("membership is defined for polynomials in x-variables")
-        xs.add(v[1])
-    return tuple(sorted(xs))
+    """(xs, deg f): the sorted indices of f's variables, which must all be
+    x-variables, and f's total degree, from one pass over its terms."""
+    xs, degree = set(), 0
+    for m in f.terms:
+        d = 0
+        for (family, i), k in m:
+            if family != "x":
+                raise InputError("membership is defined for polynomials in x-variables")
+            xs.add(i)
+            d += k
+        if d > degree:
+            degree = d
+    return tuple(sorted(xs)), degree
 
 
 def _unpack_t(packed, width):
@@ -148,26 +155,25 @@ class _Jets:
     GF(p).  A key has one bit field of `width` bits per part (t-exponents,
     part alpha in field alpha - 1), then one per window variable for its
     e-exponent, then one per window variable for the x-exponent still to be
-    substituted.  No field exceeds deg f, so `width` bits hold it.
+    substituted.  No field exceeds deg f, so `width` bits hold it.  The
+    window is `_x_window(f)`.
     """
 
-    def __init__(self, f, xs, r):
+    def __init__(self, f, window, r):
         self.field = f.field
-        self.xs = xs
-        terms = f.terms
-        self.deg = deg = max(f.degree(), 1)
+        self.xs = xs = window[0]
+        self.deg = deg = max(window[1], 1)
         self.width = w = deg.bit_length()
         self.e_base = r * w
         self.x_base = (r + len(xs)) * w
         shift = {xvar(i): self.x_base + w * ell for ell, i in enumerate(xs)}
-        self.den = den = 1 if f.field.char else math.lcm(
-            *(c.denominator for c in terms.values()))
+        terms, self.den = clear_denominators(f.terms.items())
         self.root = root = {}
-        for mono, c in terms.items():
+        for mono, c in terms:
             key = 0
             for v, k in mono:
                 key += k << shift[v]
-            root[key] = c if den == 1 else c.numerator * (den // c.denominator)
+            root[key] = c
         self._binomials = {}
         self._t_monos = {}
         self._e_monos = {}
@@ -209,10 +215,8 @@ class _Jets:
         e_mask = (1 << w) - 1
         t_monos, e_monos = self._t_monos, self._e_monos
         char, den = self.field.char, self.den
-        if char:
-            state = {key: c % char for key, c in state.items() if c % char}
-        elif den != 1:
-            state = {key: QQ.coerce(Fraction(c, den)) for key, c in state.items()}
+        if char or den != 1:
+            state = divide_out(state.items(), den, char)
         out = {}
         for key, c in state.items():
             packed, e_packed = key & t_mask, key >> e_base
@@ -235,10 +239,9 @@ def truncated_substitution(f, assign, weights):
     in the t-variables.  weights is indexed by part position - 1.  This is
     the walk of `placement_jets` down the one branch `assign`.
     """
-    xs = _x_window(f)
-    jets = _Jets(f, xs, len(weights))
+    jets = _Jets(f, _x_window(f), len(weights))
     state = jets.root
-    for level, i in enumerate(xs):
+    for level, i in enumerate(jets.xs):
         state = jets.step(state, level, assign[i], weights[assign[i] - 1])
     return jets.coefficients(state)
 
@@ -304,16 +307,17 @@ def placement_jets(f, shape, classes=()):
     return _walk(f, _x_window(f), shape, classes)
 
 
-def _walk(f, xs, shape, classes):
-    """`placement_jets` over the window xs, which the caller has computed."""
+def _walk(f, window, shape, classes):
+    """`placement_jets` over f's window, which the caller has computed."""
     r, weights = shape.r, shape.weights
+    jets = _Jets(f, window, r)
+    xs = jets.xs
     caps = [p if p != INF else len(xs) for p in shape.parts]
     before = [None] * r     # part index -> index of its class member before it
     for cls in classes:
         for b, a in zip(cls, cls[1:]):
             before[a - 1] = b - 1
     used = [0] * r
-    jets = _Jets(f, xs, r)
     path = []
 
     def descend(state):
@@ -353,14 +357,16 @@ def member(f, p, budget=None):
     budget = budget or DEFAULT_BUDGET
     if f.is_zero():
         return True
-    xs = _x_window(f)
+    xs, degree = window = _x_window(f)
     sat = saturated_ideal(p)
     if is_unit_ideal(sat, budget):
         return True
     count = p.shape.r ** len(xs)
     if count > budget.max_reductions:
         raise BudgetExceededError("placement space of size %d exceeds budget" % count)
-    for _assign, coeffs in _walk(f, xs, p.shape, part_classes(p, budget)):
+    if degree > budget.max_degree:  # before the walk builds deg f + 1 binomial rows
+        raise BudgetExceededError("degree %d exceeds budget" % degree)
+    for _assign, coeffs in _walk(f, window, p.shape, part_classes(p, budget)):
         for tpoly in coeffs.values():
             if not radical_member(tpoly, sat, budget):
                 return False
@@ -378,7 +384,7 @@ def member_via_derivatives(f, p, budget=None):
         raise InputError("the derivative criterion needs characteristic 0")
     if f.is_zero():
         return True
-    xs = _x_window(f)
+    xs = _x_window(f)[0]
     sat = saturated_ideal(p)
     if is_unit_ideal(sat, budget):
         return True

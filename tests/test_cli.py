@@ -419,3 +419,26 @@ def test_tiny_budgets_exit_3_or_repeat_the_default_answer(tmp_path, capsys):
                 assert code in (0, 3), (p, q, budget)
                 if code == 0:
                     assert {k: report[k] for k in keys} == want, (p, q, budget)
+
+
+def test_member_checks_the_degree_budget_before_the_walk(tmp_path, capsys, monkeypatch):
+    # on a free prime no division ever sees f's degree; without the check
+    # the walk built deg f + 1 binomial rows first (x1^3000000 exited 0)
+    from symprime import sprime
+    path = tmp_path / "free22.json"
+    path.write_text(json.dumps({"lambda": ["inf", "inf"], "e": [2, 2]}))
+    built = []
+    real = sprime._Jets.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+    monkeypatch.setattr(sprime._Jets, "__init__", counted)
+    assert main(["member", str(path), "--poly", "x1^121"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget exhausted: degree 121 exceeds budget" in captured.err
+    assert built == []
+    assert main(["member", str(path), "--poly", "x1^121", "--max-degree", "121"]) == 0
+    assert json.loads(capsys.readouterr().out)["member"] is False
+    assert len(built) == 1

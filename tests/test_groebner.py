@@ -121,6 +121,49 @@ def test_radical_member_off_squarefree_heads_runs_one_buchberger(buchberger_call
     assert len(buchberger_calls) == 1
 
 
+def test_radical_member_divides_once_on_a_squarefree_basis(monkeypatch):
+    # the cached entry of the reduced basis says whether its leading
+    # monomials are squarefree, so a non-member is decided by one lookup
+    # of the basis and one division
+    from symprime import groebner
+    I = Ideal([parse("t1 + t2 - 1"), parse("t2*t3 - 2")])
+    assert gb_strs(I) == ["t1 + t2 - 1", "t2*t3 - 2"]
+    calls = []
+
+    def counted(name):
+        real = getattr(groebner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+    for name in ("groebner_basis", "_divide"):
+        monkeypatch.setattr(groebner, name, counted(name))
+    for _ in range(2):
+        calls.clear()
+        assert not radical_member(parse("t1 - t2"), I)
+        assert calls == ["groebner_basis", "_divide"]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("kind", ["lex", "grevlex", "block"])
+def test_one_generator_basis_is_the_monic_generator(field, kind, leading_calls):
+    amb = (tvar(1), tvar(2), tvar(3))
+    order = {"lex": MonomialOrder.lex(amb), "grevlex": MonomialOrder.grevlex(amb),
+             "block": MonomialOrder.block([tvar(3)], [tvar(1), tvar(2)])}[kind]
+    # t1^2*t2 leads in lex and grevlex, t3^3 in the block order; both
+    # leading coefficients are negative fractions over QQ
+    g = parse("-3/2*t1^2*t2 - 2/5*t3^3 + 4/3*t2*t3 + 1", field)
+    lc = g.leading(order)[1]
+    assert field is not QQ or lc < 0
+    monic = g.scale(field.inv(lc))
+    leading_calls.clear()
+    gb = groebner_basis(Ideal([g]), order)
+    assert gb.gens == (monic,)
+    assert str(gb.gens[0]) == str(monic)
+    assert leading_calls == []
+
+
 def test_ideal_intersect_examples():
     amb = (tvar(1), tvar(2))
     J = ideal_intersect(Ideal([parse("t1")], ambient=amb),
@@ -325,6 +368,19 @@ def test_budgets_fire_where_they_did_over_fractions():
                 range(12)) == [(0, step), (7, "ok")]
     assert runs(lambda d: ideal_member(f, I, Budget(max_degree=d)),
                 range(8)) == [(0, degree(5)), (5, "ok")]
+
+
+@pytest.mark.parametrize("text, degree", [("t1^121", 121), ("t1^1000*t3 + 1", 1001),
+                                          ("2/3*t2^5000 - t1", 5000)])
+def test_membership_refuses_a_degree_above_the_budget(text, degree):
+    # far past the width of the budget's layout too, and with a variable
+    # outside I's ambient; the radical test asks the same division
+    I = Ideal([parse("t1^2 - t2")])
+    f = parse(text)
+    for test in (ideal_member, radical_member):
+        with pytest.raises(BudgetExceededError, match="^degree %d exceeds budget$" % degree):
+            test(f, I)
+    assert ideal_member(f * parse("t1^2 - t2"), I, Budget(max_degree=degree + 2))
 
 
 def test_ideal_contains_packs_the_basis_once(monkeypatch):
