@@ -9,7 +9,8 @@ over the good pairs of every admissible target shape.
 import itertools
 
 from .combinat import box_candidates, good_pairs, psi0, shape_leq, shape_sort_key
-from .poly import Poly, poly_divides, xvar
+from .groebner import poly_divides
+from .poly import Poly, xvar
 from .sprime import member
 from .theta import projection_ideal, theta_pair
 from .witness import witnesses

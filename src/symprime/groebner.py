@@ -10,10 +10,10 @@ resource budget and fails loudly instead of looping.
 
 Polynomials speak in sorted ((family, idx), exp) tuples.  Orders and the
 packed monomial layout live in `poly` (`MonomialOrder`, `PackedLayout`):
-`_buchberger`, `normal_form` and `ideal_member` pack every monomial into
-one int on entry and unpack on exit, so inside the kernel (after Monagan
-and Pearce, CASC 2007) int `<` is the order, `+` and `-` multiply and
-divide, and one mask tests divisibility.  Division works in
+every entry point packs each monomial into one int and unpacks on exit,
+so inside the kernel (after Monagan and Pearce, CASC 2007) int `<` is the
+order, `+` and `-` multiply and divide, and one mask tests divisibility.
+Division, one loop for every caller, exact divisibility included, works in
 place on a term dict: each step pops the leading term, found by `max` over
 the ints, and adds the matching multiple of the divisor's other terms.
 `_buchberger` keeps the head (lm, lc, other terms) of every basis element
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .poly import (MonomialOrder, PackedLayout, Poly, QQ, clear_denominators, divide_out,
-                   mono_div, mono_lcm, var_key, zvar)
+                   var_key, zvar)
 
 
 class BudgetExceededError(RuntimeError):
@@ -99,19 +99,23 @@ class Ideal:
 
 
 def spoly(f, g, order):
-    """S-polynomial of f and g with respect to order."""
+    """S-polynomial of f and g with respect to order, read in its layout."""
+    if f.is_zero() or g.is_zero():
+        raise ValueError("zero polynomial has no leading term")
     field = f.field
-    mf, cf = f.leading(order)
-    mg, cg = g.leading(order)
-    lcm = mono_lcm(mf, mg)
-    a = Poly(field, {mono_div(lcm, mf): field.inv(cf)})
-    b = Poly(field, {mono_div(lcm, mg): field.inv(cg)})
+    layout, packed = _pack_all([f, g], order, max(f.degree(), g.degree()))
+    (mf, cf), (mg, cg) = [max(terms) for terms, _ in packed]
+    lcm = layout.lcm(mf, mg)
+    a = Poly(field, {layout.unpack(lcm - mf): field.inv(cf)})
+    b = Poly(field, {layout.unpack(lcm - mg): field.inv(cg)})
     return f * a - g * b
 
 
 def normal_form(f, basis, order, budget=None):
     """Remainder of f on division by the (preferably reduced) basis."""
     basis = [g for g in basis if not g.is_zero()]
+    if any(g.field.char != f.field.char for g in basis):
+        raise ValueError("mixed coefficient fields")
     if f.is_zero() or not basis:
         return f
     budget = budget or DEFAULT_BUDGET
@@ -121,6 +125,23 @@ def normal_form(f, basis, order, budget=None):
     r, scale = _divide(dict(work), heads, p, layout, budget)
     unpack = layout.unpack
     return Poly(f.field, divide_out([(unpack(m), c) for m, c in r.items()], den * scale, p))
+
+
+def poly_divides(d, f):
+    """True iff polynomial d exactly divides f: d alone is a Groebner basis
+    of (d), so f's remainder by it is zero.  The order is graded, so no
+    division step leads with a degree above deg f, and the division stops
+    at the first remainder term."""
+    if d.field.char != f.field.char:
+        raise ValueError("mixed coefficient fields")
+    if d.is_zero() or f.is_zero():
+        return f.is_zero()
+    p, degree = f.field.char, f.degree()
+    order = MonomialOrder.grevlex(d.variables() | f.variables())
+    layout, ((head, _), (terms, _)) = _pack_all([d, f], order, degree)
+    work = dict(clear_denominators(terms)[0])
+    return not _divide(work, [_head(head, p)], p, layout, Budget(max_degree=degree),
+                       first=True)[0]
 
 
 def _packed_heads(basis, order, bound):
@@ -163,10 +184,12 @@ def _head(terms, p):
     return lm, lc, [t for t in terms if t[0] != lm]
 
 
-def _divide(work, heads, p, layout, budget):
+def _divide(work, heads, p, layout, budget, first=False):
     """Divide the packed term dict `work` in place by heads, a list of
     normalized (lm, lc, other terms), and return (r, scale), r a term dict:
-    the remainder of work is r / scale, with scale 1 over GF(p).
+    the remainder of work is r / scale, with scale 1 over GF(p).  With
+    `first` it returns at the first remainder term, with r that term alone,
+    which tells only whether the remainder is zero.
 
     Leading terms leave `work` in decreasing order, so the remainder's
     first term is its leading one.  Over QQ a step whose head's lc does
@@ -200,6 +223,8 @@ def _divide(work, heads, p, layout, budget):
                 _add_multiple(work, -lc, lm - hm, tail, p)
                 break
         else:
+            if first:
+                return {lm: lc}, scale
             remainder[lm] = lc
             if scale != 1:
                 left_at[lm] = scale
@@ -356,6 +381,8 @@ def _divided(f, I, budget):
     degree budget).  The order is graded, so f of degree above the budget
     leads with a term that the first division step would refuse; it is
     refused before division, so the budget's layout always holds f."""
+    if f.field.char != I.field.char:
+        raise ValueError("mixed coefficient fields")
     fvars = f.variables()
     if fvars.issubset(I.ambient):
         order = I.default_order()

@@ -11,8 +11,8 @@ This module also owns monomial orders (`MonomialOrder`) and the one packed
 monomial encoding (`PackedLayout`, after Monagan and Pearce, CASC 2007):
 each monomial is one int whose int order is the monomial order and whose
 `+` is the monomial product.  `product` (a list of factors, each packed
-once), large `Poly` products, the canonical print and `canonical_lead`
-run on it, and so does the Groebner kernel.
+once), large `Poly` products and the canonical print run on it, and so
+does the Groebner kernel.
 """
 
 from fractions import Fraction
@@ -434,18 +434,6 @@ def _layout_of(variables, width):
     return PackedLayout(MonomialOrder.grevlex(variables), ((1 << width) - 1) // 3)
 
 
-def _canonical_keys(terms):
-    """Packed monomials of a nonempty term dict, in its order, whose int
-    order is the canonical order: grevlex over the dict's variables."""
-    packed = _canonical_layout(*_support([terms])).pack(terms)[0]
-    return [m for m, _ in packed]
-
-
-def canonical_lead(f):
-    """Leading monomial of a nonzero polynomial in the canonical order."""
-    return max(zip(_canonical_keys(f.terms), f.terms))[1]
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -660,16 +648,18 @@ class Poly:
         return self._str
 
     def _text(self):
-        """Terms in descending canonical order, by their packed keys; each
-        power of a variable is spelled once."""
+        """Terms in descending canonical order, by their packed monomials in
+        grevlex over their own variables; each power of a variable is
+        spelled once."""
         if not self.terms:
             return "0"
         spelled = {(v, k): var_name(v) if k == 1 else "%s^%d" % (var_name(v), k)
                    for v, k in set().union(*self.terms)}
         items = self.terms.items()
         if len(items) > 1:
-            items = [t for _, t in sorted(zip(_canonical_keys(self.terms), items),
-                                          reverse=True)]
+            # packed monomials are distinct, so no coefficient is compared
+            packed = _canonical_layout(*_support([self.terms])).pack(self.terms)[0]
+            items = [t for _, t in sorted(zip(packed, items), reverse=True)]
         words = []
         for m, c in items:
             if self.field.char == 0 and c < 0:
@@ -740,25 +730,6 @@ def product(factors, field=QQ):
     if not all(terms):
         return Poly(field, {})
     return Poly(field, _product(terms, field.char))
-
-
-def poly_divides(d, f):
-    """True iff polynomial d exactly divides f (single-divisor division)."""
-    if d.is_zero():
-        return f.is_zero()
-    if f.is_zero():
-        return True
-    field = f.field
-    lm_d = canonical_lead(d)
-    lc_d = d.terms[lm_d]
-    rem = f
-    while not rem.is_zero():
-        lm = canonical_lead(rem)
-        if not mono_divides(lm_d, lm):
-            return False
-        c = field.mul(rem.terms[lm], field.inv(lc_d))
-        rem = rem - d * Poly(field, {mono_div(lm, lm_d): c})
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from symprime.combinat import INF, good_pairs, psi0, shape
 from symprime.contractlab import verify_contract
 from symprime.generators import (full_gens, gens_G, prune_translate_multiples,
                                  sign_normalize)
-from symprime.groebner import Ideal, groebner_basis, normal_form, radical_member, saturate, spoly
-from symprime.poly import GF, Poly, discriminant, parse, poly_divides, tvar
+from symprime.groebner import (Ideal, groebner_basis, normal_form, poly_divides, radical_member,
+                               saturate, spoly)
+from symprime.poly import GF, Poly, discriminant, parse, tvar
 from symprime.sprime import SPrimeData, make_sprime, member
 from symprime.spectrum import make_radical
 from symprime.theta import contains, theta

@@ -245,6 +245,17 @@ def test_budget_exceeded():
                        budget=Budget(max_reductions=2_000_000, max_degree=8))
 
 
+def test_division_refuses_mixed_fields():
+    # arithmetic and Ideal refuse to mix fields, and so does every division
+    I = Ideal([parse("t1 - 2", GF(7))])
+    gb = groebner_basis(I)
+    f = parse("1/7*t1 - 2/7")  # over QQ; it would reduce to zero mod 7
+    for call in (lambda: ideal_member(f, I), lambda: radical_member(f, I),
+                 lambda: normal_form(parse("t1^2"), gb.gens, I.default_order())):
+        with pytest.raises(ValueError, match="mixed coefficient fields"):
+            call()
+
+
 def _small_int(rng):
     return rng.randint(-3, 3)
 

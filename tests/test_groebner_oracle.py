@@ -232,7 +232,8 @@ def radical_cases(draw, field, coeffs):
 
 
 @pytest.mark.parametrize("field", ["QQ", "GF32003"])
-@settings(max_examples=80, deadline=None)
+# repeatable draws: on some random draws sympy's own Buchberger runs for minutes
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_radical_member_matches_sympy(field, data):
     field, coeffs = FIELDS[field]

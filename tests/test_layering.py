@@ -44,12 +44,19 @@ def test_kernel_coefficients_leave_through_divide_out():
                 assert "fractions" not in [a.name for a in node.names], name
 
 
-def test_groebner_reads_leading_terms_only_in_spoly():
-    # the kernel orders packed ints; Poly.leading serves spoly alone
-    callers = []
-    for top in _tree("groebner.py").body:
-        for node in ast.walk(top):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "leading"):
-                callers.append(getattr(top, "name", None))
-    assert callers == ["spoly", "spoly"]
+def _called_name(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_division_reads_packed_monomials_only():
+    # leading terms, order keys, divisibility and lcms are read on packed
+    # ints; the tuple helpers stay public, for tests and tracing
+    tuple_helpers = {"leading", "key", "mono_divides", "mono_lcm"}
+    calls = ["%s:%d %s" % (path.name, node.lineno, _called_name(node))
+             for path in sorted(SRC.glob("*.py")) for node in ast.walk(_tree(path.name))
+             if isinstance(node, ast.Call) and _called_name(node) in tuple_helpers]
+    assert calls == []
+    # divisibility is one division in groebner, with no tuple twin in poly
+    defined = {top.name for top in _tree("poly.py").body if isinstance(top, ast.FunctionDef)}
+    assert not defined & {"poly_divides", "canonical_lead"}
