@@ -10,7 +10,8 @@ problem files to a temporary directory:
 - `member` with three polynomials at three `--max-reductions` values;
 - `witness` for the failing pairs of acceptance criterion 5;
 - `psi0`, `radical` and `contract-verify` on fixed inputs;
-- small budgets and bad input, so that exits 2 and 3 are covered.
+- small budgets and bad input (bad polynomial text and a problem file
+  that does not load included), so that exits 2 and 3 are covered.
 
 It prints the number of commands; per command kind, the wall time, the
 count of each exit code, and the slowest command with its time; and one
@@ -82,8 +83,12 @@ RADICALS = (("diag1", "diag2"), ("allzero1", "line0", "circle22"),
             ("free22", "fin31", "q3pts"))
 CONTRACTS = (("2", "2,2", "0"), ("3", "2,2,2", "0"), ("3", "3,3,3", "2"),
              ("4", "2,2,2,2", "0"), ("2", "3,3", "3"), ("1", "2", "0"))
+# problem files that fail to load: a JSON integer past int()'s digit limit
+BAD_FILES = {"bigint": '{"lambda": ["inf"], "e": [%s], "Z": []}' % ("1" * 5000)}
 BAD = (["contain", "missing.json", "diag1"], ["psi0", "--lambda", "3", "--e", "1"],
-       ["member", "diag1", "--poly", "x1+"], ["contract-verify", "-n", "2", "-q", "2,x"])
+       ["member", "diag1", "--poly", "x1+"], ["contract-verify", "-n", "2", "-q", "2,x"],
+       ["member", "diag1", "--poly", "x1^\u00b2"],
+       ["member", "diag1", "--poly", "1" * 5000 + "*x1"], ["gens", "bigint"])
 
 
 def commands():
@@ -134,12 +139,14 @@ def main():
     digest = hashlib.sha256()
     exits, seconds, slowest = Counter(), defaultdict(float), {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (parts, weights, z) in POOL.items():
-            Path(tmp, name + ".json").write_text(
-                json.dumps({"lambda": parts, "e": weights, "Z": z}))
+        files = {name: json.dumps({"lambda": parts, "e": weights, "Z": z})
+                 for name, (parts, weights, z) in POOL.items()}
+        files.update(BAD_FILES)
+        for name, text in files.items():
+            Path(tmp, name + ".json").write_text(text)
 
         def record(argv):
-            out, err, code = run([str(Path(tmp, a + ".json")) if a in POOL else a
+            out, err, code = run([str(Path(tmp, a + ".json")) if a in files else a
                                   for a in argv])
             return [argv, out, err.replace(tmp, "<tmp>"), code]
         first = []

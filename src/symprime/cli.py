@@ -34,7 +34,7 @@ def _load_prime(path):
     try:
         with open(path) as fh:
             return _prime_of_text(fh.read())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, InputError) as exc:
+    except (OSError, UnicodeDecodeError, InputError) as exc:
         raise InputError("cannot load prime data from %s: %s" % (path, exc))
 
 
@@ -44,7 +44,11 @@ def _prime_of_text(text):
     unbounded: a session that names the same files again parses and
     canonicalizes each one once, and an edited file is a new key.  Errors
     are not stored, so a malformed file fails on every load."""
-    return SPrimeData.from_json_obj(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:  # malformed JSON, or an integer past int()'s digit limit
+        raise InputError(str(exc)) from None
+    return SPrimeData.from_json_obj(obj)
 
 
 def _emit(report, budget):

@@ -250,60 +250,21 @@ def refinement_pairs(source, target):
     Enumerates total maps phi from source part positions onto target part
     positions together with part sizes kappa such that kappa is bounded by
     the source sizes, equals them over infinite targets, and adds up exactly
-    to each target size fiber by fiber.
+    to each target size fiber by fiber: one product over each part's sizes
+    (its own over an infinite target, 1..min(source, target) over a finite
+    one), filtered by the fiber sums.  Over an infinite target the sum is
+    infinite exactly when the fiber holds an infinite source part, and no
+    sum that matches is empty, so phi is onto.
     """
-    lam = source.parts
-    mu = target.parts
-    out = []
-    for phi in itertools.product(range(len(mu)), repeat=len(lam)):
-        fibers = [[a for a, b in enumerate(phi) if b == beta]
-                  for beta in range(len(mu))]
-        if any(not f for f in fibers):
-            continue
-        choices_per_beta = []
-        ok = True
-        for beta, fiber in enumerate(fibers):
-            if mu[beta] == INF:
-                if all(lam[a] != INF for a in fiber):
-                    ok = False
-                    break
-                choices_per_beta.append([tuple(lam[a] for a in fiber)])
-            else:
-                opts = _bounded_compositions(mu[beta],
-                                             [lam[a] for a in fiber])
-                if not opts:
-                    ok = False
-                    break
-                choices_per_beta.append(opts)
-        if not ok:
-            continue
-        for pick in itertools.product(*choices_per_beta):
-            kappa = [None] * len(lam)
-            for beta, fiber in enumerate(fibers):
-                for a, k in zip(fiber, pick[beta]):
-                    kappa[a] = k
-            out.append((phi, tuple(kappa)))
-    return sorted(out)
-
-
-def _bounded_compositions(total, caps):
-    """All tuples of positive integers below the caps summing to total."""
-    if total == INF:
-        return []
-    results = []
-
-    def rec(i, remaining, acc):
-        if i == len(caps):
-            if remaining == 0:
-                results.append(tuple(acc))
-            return
-        hi = remaining - (len(caps) - i - 1)
-        cap = caps[i] if caps[i] != INF else hi
-        for k in range(1, min(cap, hi) + 1):
-            rec(i + 1, remaining - k, acc + [k])
-
-    rec(0, total, [])
-    return results
+    lam, mu = source.parts, target.parts
+    return sorted(
+        (phi, kappa)
+        for phi in itertools.product(range(len(mu)), repeat=len(lam))
+        for kappa in itertools.product(*[
+            (lam[a],) if mu[b] == INF else range(1, min(lam[a], mu[b]) + 1)
+            for a, b in enumerate(phi)])
+        if all(sum(k for k, b in zip(kappa, phi) if b == beta) == size
+               for beta, size in enumerate(mu)))
 
 
 def json_parts_weights(obj):

@@ -53,7 +53,7 @@ DEFAULT_BUDGET = Budget()
 
 
 class Ideal:
-    """Finitely generated ideal with a per-order cache of reduced bases.
+    """Ideal of `Poly` generators with a per-order cache of reduced bases.
 
     Values are immutable apart from the caches (reduced bases, default
     order, and on a reduced basis its packed heads with their squarefree
@@ -64,15 +64,13 @@ class Ideal:
     __slots__ = ("field", "gens", "ambient", "_gb", "_order", "_heads")
 
     def __init__(self, gens, ambient=(), field=None):
-        gens = tuple(g for g in gens if not (isinstance(g, Poly) and g.is_zero()))
+        gens = tuple(g for g in gens if not g.is_zero())
         if field is None:
             field = gens[0].field if gens else QQ
-        gens = tuple(g if isinstance(g, Poly) else Poly.const(g, field) for g in gens)
+        vs = set(ambient)
         for g in gens:
             if g.field.char != field.char:
                 raise ValueError("mixed coefficient fields in ideal")
-        vs = set(ambient)
-        for g in gens:
             vs |= g.variables()
         self.field = field
         self.gens = gens
@@ -193,13 +191,13 @@ def _divide(work, heads, p, layout, budget, first=False):
 
     Leading terms leave `work` in decreasing order, so the remainder's
     first term is its leading one.  Over QQ a step whose head's lc does
-    not divide the leading coefficient first multiplies `work` (and the
-    scale) by the smallest factor that makes it divide; a remainder term
-    keeps the scale it left at and is raised to the final one at the end.
+    not divide the leading coefficient first multiplies `work`, the
+    remainder so far and the scale by the smallest factor that makes it
+    divide.
     """
     guard, mask = layout.guard, layout.mask
     max_degree, max_steps = budget.max_degree, budget.max_reductions
-    remainder, left_at = {}, {}
+    remainder = {}
     scale = 1
     steps = 0
     while work:
@@ -218,6 +216,8 @@ def _divide(work, heads, p, layout, budget, first=False):
                         k = hc // g
                         for m in work:
                             work[m] *= k
+                        for m in remainder:
+                            remainder[m] *= k
                         scale *= k
                     lc //= g
                 _add_multiple(work, -lc, lm - hm, tail, p)
@@ -226,11 +226,6 @@ def _divide(work, heads, p, layout, budget, first=False):
             if first:
                 return {lm: lc}, scale
             remainder[lm] = lc
-            if scale != 1:
-                left_at[lm] = scale
-    if scale != 1:
-        for m, c in remainder.items():
-            remainder[m] = c * (scale // left_at.get(m, 1))
     return remainder, scale
 
 

@@ -57,8 +57,6 @@ class SPrimeData:
 
 def make_sprime(parts, weights, gens):
     """Canonicalize the data, permuting t-variables of the ideal to match."""
-    if isinstance(gens, Ideal):
-        gens = gens.gens
     shape, perm = canonicalize(parts, weights)
     r = shape.r
     for g in gens:
@@ -134,17 +132,15 @@ def _x_window(f):
     return tuple(sorted(xs)), degree
 
 
-def _unpack_t(packed, width):
-    """The t-monomial whose t_alpha exponent is bit field alpha - 1 of packed."""
+def _decode(packed, width, var, indices):
+    """The monomial whose exponent of var(indices[k]) is bit field k of packed."""
     mask = (1 << width) - 1
-    tm = []
-    alpha = 1
-    while packed:
+    mono = []
+    for i in indices:
         if packed & mask:
-            tm.append((tvar(alpha), packed & mask))
+            mono.append((var(i), packed & mask))
         packed >>= width
-        alpha += 1
-    return tuple(tm)
+    return tuple(mono)
 
 
 class _Jets:
@@ -162,6 +158,7 @@ class _Jets:
     def __init__(self, f, window, r):
         self.field = f.field
         self.xs = xs = window[0]
+        self.parts = range(1, r + 1)
         self.deg = deg = max(window[1], 1)
         self.width = w = deg.bit_length()
         self.e_base = r * w
@@ -210,9 +207,8 @@ class _Jets:
     def coefficients(self, state):
         """{e-monomial: t-polynomial} of a state with every variable placed:
         the ints divided by `den` over QQ, reduced mod p over GF(p)."""
-        w, e_base, xs = self.width, self.e_base, self.xs
+        w, e_base = self.width, self.e_base
         t_mask = (1 << e_base) - 1
-        e_mask = (1 << w) - 1
         t_monos, e_monos = self._t_monos, self._e_monos
         char, den = self.field.char, self.den
         if char or den != 1:
@@ -222,12 +218,10 @@ class _Jets:
             packed, e_packed = key & t_mask, key >> e_base
             tm = t_monos.get(packed)
             if tm is None:
-                tm = t_monos[packed] = _unpack_t(packed, w)
+                tm = t_monos[packed] = _decode(packed, w, tvar, self.parts)
             em = e_monos.get(e_packed)
             if em is None:
-                em = e_monos[e_packed] = tuple(
-                    (evar(i), j) for ell, i in enumerate(xs)
-                    if (j := (e_packed >> (w * ell)) & e_mask))
+                em = e_monos[e_packed] = _decode(e_packed, w, evar, self.xs)
             out.setdefault(em, {})[tm] = c
         return {em: Poly(self.field, terms) for em, terms in out.items()}
 

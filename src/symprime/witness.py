@@ -99,10 +99,10 @@ def _lift(u, trace, source_r):
 
 
 def _differences(layout, budget):
-    """(h1, h2, degree of h1*h2): h1's differences x_i - x_j, i < j, inside
-    each jet sub-block and h2's across each two distinct blocks.  The
-    degree, len(h1) + N*len(h2), is counted and checked against the budget
-    first: a window too large for it has too many differences to list."""
+    """(factors of h1*h2, its degree): h1's differences x_i - x_j, i < j,
+    inside each jet sub-block, then N-th powers of h2's across each two
+    distinct blocks.  The degree, len(h1) + N*len(h2), is checked against
+    the budget first: a window too large for it has too many to list."""
     sub_blocks = [sub for subs in layout.sub_blocks for sub in subs]
     block_pairs = list(itertools.combinations(layout.blocks, 2))
     degree = (sum(math.comb(len(sub), 2) for sub in sub_blocks)
@@ -110,8 +110,8 @@ def _differences(layout, budget):
     _check_degree(degree, budget)
     x = {i: Poly.variable(xvar(i), QQ) for i in range(1, layout.m + 1)}
     h1 = [x[i] - x[j] for sub in sub_blocks for i, j in itertools.combinations(sub, 2)]
-    h2 = [x[i] - x[j] for a, b in block_pairs for i in a for j in b]
-    return h1, h2, degree
+    h2 = [(x[i] - x[j]) ** layout.N for a, b in block_pairs for i in a for j in b]
+    return h1 + h2, degree
 
 
 def _check_degree(degree, budget):
@@ -124,16 +124,15 @@ def witnesses(source, target, locus_gens, budget=None):
 
     locus_gens maps every good pair of the target and source shapes, in
     good_pairs order, to the locus generators it may lift.  One witness is
-    yielded per choice of one generator for each good pair: h1*h2 is built
-    once and multiplied by the distinct locus factors of that choice.  With
-    no good pairs the single witness is h1*h2.  Raises BudgetExceededError
-    before multiplying if h1*h2 or a partial product would exceed the
-    budget's max_degree, summing the degrees of the factors.
+    yielded per choice of one generator for each good pair: one `product`
+    of h1's and h2's factors and that choice's distinct locus factors.
+    With no good pairs the single witness is h1*h2.  Raises
+    BudgetExceededError before multiplying if h1*h2 or a partial product
+    would exceed the budget's max_degree, summing the degrees of the factors.
     """
     budget = budget or DEFAULT_BUDGET
     layout = WitnessLayout.build(source, target)
-    h1, h2, degree = _differences(layout, budget)
-    h12 = product(h1 + [d ** layout.N for d in h2], QQ)
+    factors, degree = _differences(layout, budget)
     for picks in itertools.product(*locus_gens.values()):
         # h3: the distinct lifted and raised locus factors, in order of
         # first appearance
@@ -144,7 +143,7 @@ def witnesses(source, target, locus_gens, budget=None):
         degrees = (f.degree() for f in h3)
         for total in itertools.accumulate(degrees, initial=degree):
             _check_degree(total, budget)
-        yield product([h12] + h3, QQ)
+        yield product(factors + h3, QQ)
 
 
 def build_h(p, q_shape, q_point=None, budget=None):

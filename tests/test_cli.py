@@ -220,6 +220,29 @@ def test_input_errors_exit_2(problem_files, capsys, argv, message):
     assert captured.err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("poly, message", [
+    ("x1^\u00b2", "syntax error at position 3: unexpected character '\u00b2'"),
+    ("1" * 5000 + "*x1",
+     "syntax error at position 0: integer literal of 5000 digits is too long")],
+    ids=["superscript exponent", "5000-digit literal"])
+def test_digit_runs_int_refuses_exit_2(problem_files, capsys, poly, message):
+    assert main(["member", problem_files["origin2"], "--poly", poly]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
+def test_problem_file_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, here
+    big = tmp_path / "big.json"
+    big.write_text('{"lambda": ["inf"], "e": [%s], "Z": []}' % ("1" * 5000))
+    assert main(["gens", str(big)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot load prime data from %s: " % big)
+    assert "digits" in captured.err
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     import symprime.cli
 

@@ -1,5 +1,6 @@
 """Shapes, good pairs, the degeneration order, psi0, refinement pairs."""
 
+import itertools
 import random
 
 import pytest
@@ -270,6 +271,69 @@ def test_refinement_pairs_fiber_sums():
             assert k <= src.parts[a]
             if tgt.parts[phi[a]] == INF:
                 assert k == src.parts[a]
+
+
+def _reference_refinement_pairs(source, target):
+    """The recursive enumeration refinement_pairs replaced: per map, the
+    compositions of each finite target under its sources' caps."""
+    lam, mu = source.parts, target.parts
+    out = []
+    for phi in itertools.product(range(len(mu)), repeat=len(lam)):
+        fibers = [[a for a, b in enumerate(phi) if b == beta] for beta in range(len(mu))]
+        if any(not f for f in fibers):
+            continue
+        choices_per_beta = []
+        for beta, fiber in enumerate(fibers):
+            if mu[beta] == INF:
+                if all(lam[a] != INF for a in fiber):
+                    break
+                choices_per_beta.append([tuple(lam[a] for a in fiber)])
+            else:
+                opts = _bounded_compositions(mu[beta], [lam[a] for a in fiber])
+                if not opts:
+                    break
+                choices_per_beta.append(opts)
+        else:
+            for pick in itertools.product(*choices_per_beta):
+                kappa = [None] * len(lam)
+                for fiber, sizes in zip(fibers, pick):
+                    for a, k in zip(fiber, sizes):
+                        kappa[a] = k
+                out.append((phi, tuple(kappa)))
+    return sorted(out)
+
+
+def _bounded_compositions(total, caps):
+    """All tuples of positive integers below the caps summing to total."""
+    results = []
+
+    def rec(i, remaining, acc):
+        if i == len(caps):
+            if remaining == 0:
+                results.append(tuple(acc))
+            return
+        hi = remaining - (len(caps) - i - 1)
+        cap = caps[i] if caps[i] != INF else hi
+        for k in range(1, min(cap, hi) + 1):
+            rec(i + 1, remaining - k, acc + [k])
+
+    rec(0, total, [])
+    return results
+
+
+def test_refinement_pairs_match_the_recursive_reference():
+    shapes = list(box_candidates(3, 3, 2))
+    nonempty = 0
+    for src in shapes:
+        for tgt in shapes:
+            got = refinement_pairs(src, tgt)
+            want = _reference_refinement_pairs(src, tgt)
+            assert got == want, (src, tgt)
+            # INF is a float and finite sizes are ints, on both sides
+            assert [[type(k) for k in kappa] for _, kappa in got] == \
+                [[type(k) for k in kappa] for _, kappa in want]
+            nonempty += bool(got)
+    assert nonempty > 100
 
 
 def test_parse_shape_arg():

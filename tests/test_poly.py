@@ -39,6 +39,23 @@ def test_parse_error_position():
     assert "position 5" in str(err.value)
 
 
+@pytest.mark.parametrize("text, pos", [
+    ("x1^\u00b2", 3), ("x\u00b2", 0), ("1" * 5000 + "*x1", 0),
+    ("x1 + x" + "1" * 5000, 6), ("3/" + "2" * 5000, 2)],
+    ids=["superscript exponent", "superscript index", "5000-digit coefficient",
+         "5000-digit index", "5000-digit denominator"])
+def test_digit_runs_int_refuses_are_parse_errors(text, pos):
+    # a superscript is a digit to str.isdigit but not to int(), and int()
+    # refuses runs past its digit limit
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.pos == pos
+
+
+def test_decimal_digits_of_any_script_parse():
+    assert parse("\u0663*x\u0661 + x12") == parse("3*x1 + x12")
+
+
 def test_canonical_printing():
     assert str(parse("(x1-x2)^3")) == "x1^3 - 3*x1^2*x2 + 3*x1*x2^2 - x2^3"
     assert str(Poly.zero()) == "0"

@@ -2,9 +2,10 @@
 
 import pytest
 
+from symprime import witness
 from symprime.combinat import INF, good_pairs, shape
 from symprime.groebner import Budget, BudgetExceededError
-from symprime.poly import parse, discriminant
+from symprime.poly import discriminant, parse, product
 from symprime.sprime import make_sprime
 from symprime.witness import (NoWitnessError, WitnessLayout, build_h, certify,
                               compatible_partitions)
@@ -154,3 +155,20 @@ def test_discriminant_witness_membership():
 def test_unit_is_never_a_member(circle22):
     q = make_sprime([INF], [2], [parse("t1")])
     assert certify(parse("1"), circle22, q) == (False, False)
+
+
+def test_each_witness_is_one_product(circle22, monkeypatch):
+    # h1's and h2's factors and the locus factors go into one product, with
+    # no product of h1*h2 alone to multiply again per witness
+    calls = []
+
+    def counted(factors, field):
+        calls.append(len(factors))
+        return product(factors, field)
+    monkeypatch.setattr(witness, "product", counted)
+    target = shape([INF], [2])
+    gps = good_pairs(target, circle22.shape)
+    locus = {gp: (parse("t1^2+t2^2-1"), parse("t1-t2")) for gp in gps}
+    out = list(witness.witnesses(circle22.shape, target, locus))
+    assert len(out) == 2 ** len(gps) == len(calls)
+    assert len(set(out)) > 1
