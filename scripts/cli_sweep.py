@@ -83,12 +83,21 @@ RADICALS = (("diag1", "diag2"), ("allzero1", "line0", "circle22"),
             ("free22", "fin31", "q3pts"))
 CONTRACTS = (("2", "2,2", "0"), ("3", "2,2,2", "0"), ("3", "3,3,3", "2"),
              ("4", "2,2,2,2", "0"), ("2", "3,3", "3"), ("1", "2", "0"))
-# problem files that fail to load: a JSON integer past int()'s digit limit
-BAD_FILES = {"bigint": '{"lambda": ["inf"], "e": [%s], "Z": []}' % ("1" * 5000)}
+NESTED = "(" * 5000 + "%s" + ")" * 5000
+# problem files that fail to load: a JSON integer past int()'s digit limit,
+# JSON and a generator nested past the recursion limit
+BAD_FILES = {"bigint": '{"lambda": ["inf"], "e": [%s], "Z": []}' % ("1" * 5000),
+             "deep": "[" * 100000,
+             "deepz": json.dumps({"lambda": ["inf"], "e": [1], "Z": [NESTED % "t1"]})}
 BAD = (["contain", "missing.json", "diag1"], ["psi0", "--lambda", "3", "--e", "1"],
        ["member", "diag1", "--poly", "x1+"], ["contract-verify", "-n", "2", "-q", "2,x"],
        ["member", "diag1", "--poly", "x1^\u00b2"],
-       ["member", "diag1", "--poly", "1" * 5000 + "*x1"], ["gens", "bigint"])
+       ["member", "diag1", "--poly", "1" * 5000 + "*x1"], ["gens", "bigint"],
+       ["contain", "deep", "deep"], ["gens", "deepz"],
+       ["member", "diag1", "--poly", NESTED % "x1"],
+       ["contract-verify", "-n", "1", "-q", "1", "--char", "9" * 400],
+       # 2^61 - 1, a prime: a large characteristic that builds its field
+       ["contract-verify", "-n", "1", "-q", "1", "--char", "2305843009213693951"])
 
 
 def commands():

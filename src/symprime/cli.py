@@ -46,7 +46,9 @@ def _prime_of_text(text):
     are not stored, so a malformed file fails on every load."""
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # malformed JSON, or an integer past int()'s digit limit
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, an integer past int()'s digit limit, or nesting
+        # past the interpreter's recursion limit
         raise InputError(str(exc)) from None
     return SPrimeData.from_json_obj(obj)
 

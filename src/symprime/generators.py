@@ -10,7 +10,7 @@ import itertools
 
 from .combinat import box_candidates, good_pairs, psi0, shape_leq, shape_sort_key
 from .groebner import poly_divides
-from .poly import Poly, xvar
+from .poly import xvar
 from .sprime import member
 from .theta import projection_ideal, theta_pair
 from .witness import witnesses
@@ -100,9 +100,8 @@ def translate_divides(g, h):
     if len(g_idx) > len(h_idx) or g.degree() > h.degree():
         return False
     for image in itertools.permutations(h_idx, len(g_idx)):
-        rename = {xvar(a): Poly.variable(xvar(b), g.field)
-                  for a, b in zip(g_idx, image)}
-        if poly_divides(g.substitute(rename), h):
+        rename = {xvar(a): xvar(b) for a, b in zip(g_idx, image)}
+        if poly_divides(g.rename(rename), h):
             return True
     return False
 

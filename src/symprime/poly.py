@@ -107,11 +107,42 @@ class Rationals:
         return "QQ"
 
 
+# Miller-Rabin on the primes up to 41 as bases decides primality exactly
+# below this bound, psi_13 (Sorenson and Webster, Math. Comp. 86 (2017)
+# 985-1003); the bases up to 37 alone pass psi_12 = 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(p):
+    """Whether p < _MR_LIMIT is prime, by Miller-Rabin on _MR_BASES."""
+    if p in _MR_BASES:
+        return True
+    if p < 2 or any(p % b == 0 for b in _MR_BASES):
+        return False
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):  # p - 1 must come before the first 1
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """Integers modulo a prime, residues stored in [0, p)."""
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= _MR_LIMIT:
+            raise InputError("characteristic must be below %d, got %r" % (_MR_LIMIT, p))
+        if not _is_prime(p):
             raise InputError("characteristic must be prime, got %r" % (p,))
         self.char = p
 
@@ -577,39 +608,31 @@ class Poly:
             return other
         return Poly.const(other, self.field)
 
-    def substitute(self, mapping):
-        """Simultaneously replace variables per mapping (variable -> Poly)."""
-        f = self.field
-        images = {v: (img if isinstance(img, Poly) else Poly.const(img, f))
-                  for v, img in mapping.items()}
-        if all(img.field is f and img.terms == {((v, 1),): 1}
-               for v, img in images.items()):
+    def rename(self, mapping):
+        """Simultaneously relabel variables per mapping (variable ->
+        variable); terms whose monomials meet are added."""
+        mapping = {v: w for v, w in mapping.items() if v != w}
+        if not mapping:
             return self  # every variable is its own image
         terms = []
         for m, c in self.terms.items():
-            piece = Poly(f, {tuple((v, k) for v, k in m if v not in images): c})
+            exps = {}
             for v, k in m:
-                if v in images:
-                    piece = piece * images[v] ** k
-            terms.extend(piece.terms.items())
-        return Poly.from_terms(terms, f)
+                w = mapping.get(v, v)
+                exps[w] = exps.get(w, 0) + k
+            terms.append((tuple(sorted(exps.items(), key=lambda it: var_key(it[0]))), c))
+        return Poly.from_terms(terms, self.field)
 
     def derivative(self, v):
-        """Formal partial derivative with respect to variable v."""
+        """Formal partial derivative with respect to variable v.  Distinct
+        monomials divided by v stay distinct, so no two terms meet; a term
+        drops when its exponent is 0 in the field."""
         f = self.field
         out = {}
         for m, c in self.terms.items():
             k = dict(m).get(v, 0)
-            if not k:
-                continue
-            mono = mono_div(m, ((v, 1),))
-            c2 = f.mul(c, f.coerce(k))
-            if mono in out:
-                c2 = f.add(out[mono], c2)
-            if c2:
-                out[mono] = c2
-            elif mono in out:
-                del out[mono]
+            if k and (c := f.mul(c, f.coerce(k))):
+                out[mono_div(m, ((v, 1),))] = c
         return Poly(f, out)
 
     def evaluate(self, point):
@@ -860,7 +883,10 @@ class _Parser:
 def parse(text, field=QQ):
     """Parse polynomial text in the x/t/e grammar into a Poly."""
     parser = _Parser(_tokenize(text), field)
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:  # no depth limit of its own: whatever the stack holds parses
+        raise ParseError("parentheses nested too deeply", parser.peek()[2]) from None
     end = parser.take()
     if end[0] != "end":
         raise ParseError("trailing input", end[2])

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .combinat import INF, canonicalize
 from .groebner import BudgetExceededError, Ideal, ideal_equal
-from .poly import InputError, Poly, QQ, tvar
+from .poly import InputError, tvar
 from .theta import contains, theta
 
 
@@ -94,9 +94,8 @@ def d3_stabilize(p, base_shape, grow_index, cap=20, budget=None):
         ideal = theta(p, shp, budget).ideal
         # express the slice in the family's own part labeling so that
         # consecutive members are comparable even if sorting moved parts
-        back = {tvar(k + 1): Poly.variable(tvar(perm[k] + 1), QQ)
-                for k in range(shp.r)}
-        return Ideal(tuple(g.substitute(back) for g in ideal.gens),
+        back = {tvar(k + 1): tvar(perm[k] + 1) for k in range(shp.r)}
+        return Ideal(tuple(g.rename(back) for g in ideal.gens),
                      ambient=tuple(tvar(i + 1) for i in range(shp.r)))
 
     prev = slice_at(1)

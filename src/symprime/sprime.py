@@ -63,9 +63,11 @@ def make_sprime(parts, weights, gens):
         bad = [v for v in g.variables() if v[0] != "t" or v[1] > r]
         if bad:
             raise InputError("ideal generator %s uses variables outside t1..t%d" % (g, r))
+        if g.field is not QQ:
+            raise InputError("ideal generator %s is not over QQ" % g)
     # old position perm[k] moves to canonical position k
-    rename = {tvar(perm[k] + 1): Poly.variable(tvar(k + 1), QQ) for k in range(r)}
-    moved = tuple(g.substitute(rename) for g in gens)
+    rename = {tvar(perm[k] + 1): tvar(k + 1) for k in range(r)}
+    moved = tuple(g.rename(rename) for g in gens)
     data = SPrimeData(shape, Ideal(moved, ambient=tuple(tvar(i + 1) for i in range(r))))
     if is_unit_ideal(saturated_ideal(data)):
         warnings.warn("configuration locus is empty; the data describes the unit ideal")
@@ -260,9 +262,8 @@ def part_classes(p, budget=None):
     kinds = tuple(zip(p.shape.parts, p.shape.weights))
 
     def swap_fixes(a, b):
-        swap = {tvar(a): Poly.variable(tvar(b), sat.field),
-                tvar(b): Poly.variable(tvar(a), sat.field)}
-        return all(ideal_member(g.substitute(swap), sat, budget) for g in sat.gens)
+        swap = {tvar(a): tvar(b), tvar(b): tvar(a)}
+        return all(ideal_member(g.rename(swap), sat, budget) for g in sat.gens)
 
     joined = []
     for b in range(1, p.shape.r + 1):
@@ -384,12 +385,12 @@ def member_via_derivatives(f, p, budget=None):
         return True
     for assign in assignments(xs, p.shape):
         ranges = [range(p.shape.weights[assign[i] - 1]) for i in xs]
-        to_t = {("x", i): Poly.variable(tvar(assign[i]), QQ) for i in xs}
+        to_t = {("x", i): tvar(assign[i]) for i in xs}
         for orders in itertools.product(*ranges):
             g = f
             for i, k in zip(xs, orders):
                 for _ in range(k):
                     g = g.derivative(("x", i))
-            if not radical_member(g.substitute(to_t), sat, budget):
+            if not radical_member(g.rename(to_t), sat, budget):
                 return False
     return True

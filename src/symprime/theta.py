@@ -57,9 +57,8 @@ def theta_pair(p, target, gp, budget=None):
     """Component of the degeneration closure for one good pair: project p's
     locus to the chosen parts, then pull back along the merge map."""
     elim = projection_ideal(p, gp.domain, budget)
-    rename = {tvar(a + 1): Poly.variable(tvar(b + 1), QQ)
-              for a, b in zip(gp.domain, gp.targets)}
-    gens = tuple(g.substitute(rename) for g in elim.gens)
+    rename = {tvar(a + 1): tvar(b + 1) for a, b in zip(gp.domain, gp.targets)}
+    gens = tuple(g.rename(rename) for g in elim.gens)
     ambient = tuple(tvar(b + 1) for b in range(target.r))
     return Ideal(gens, ambient=ambient)
 

@@ -88,14 +88,9 @@ def compatible_partitions(gp, layout, source, budget=None):
     return tuple(out)
 
 
-def _lift(u, trace, source_r):
+def _lift(u, trace):
     """Send each source coordinate to the smallest window index of its trace."""
-    reps = {}
-    for i, alpha in enumerate(trace):
-        reps.setdefault(alpha, i + 1)
-    rename = {("t", a + 1): Poly.variable(xvar(reps[a]), QQ)
-              for a in range(source_r) if a in reps}
-    return u.substitute(rename)
+    return u.rename({("t", a + 1): xvar(trace.index(a) + 1) for a in set(trace)})
 
 
 def _differences(layout, budget):
@@ -133,13 +128,16 @@ def witnesses(source, target, locus_gens, budget=None):
     budget = budget or DEFAULT_BUDGET
     layout = WitnessLayout.build(source, target)
     factors, degree = _differences(layout, budget)
+    if not all(locus_gens.values()):
+        return
+    traces = [compatible_partitions(gp, layout, source, budget) for gp in locus_gens]
     for picks in itertools.product(*locus_gens.values()):
         # h3: the distinct lifted and raised locus factors, in order of
         # first appearance
         h3 = list(dict.fromkeys(
-            _lift(u, trace, source.r) ** (len(gp.domain) * source.e_max())
-            for gp, u in zip(locus_gens, picks)
-            for trace in compatible_partitions(gp, layout, source, budget)))
+            _lift(u, trace) ** (len(gp.domain) * source.e_max())
+            for gp, u, gp_traces in zip(locus_gens, picks, traces)
+            for trace in gp_traces))
         degrees = (f.degree() for f in h3)
         for total in itertools.accumulate(degrees, initial=degree):
             _check_degree(total, budget)

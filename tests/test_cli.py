@@ -465,3 +465,31 @@ def test_member_checks_the_degree_budget_before_the_walk(tmp_path, capsys, monke
     assert main(["member", str(path), "--poly", "x1^121", "--max-degree", "121"]) == 0
     assert json.loads(capsys.readouterr().out)["member"] is False
     assert len(built) == 1
+
+
+def test_deeply_nested_input_exits_2(problem_files, tmp_path, capsys):
+    # each parses to a RecursionError, which is an input error here
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    deep_z = tmp_path / "deep_z.json"
+    deep_z.write_text(json.dumps({"lambda": ["inf"], "e": [1],
+                                  "Z": ["(" * 5000 + "t1" + ")" * 5000]}))
+    nested = "(" * 5000 + "x1" + ")" * 5000
+    for argv, start in [
+            (["contain", str(deep), str(deep)], "error: cannot load prime data from %s: " % deep),
+            (["member", problem_files["origin2"], "--poly", nested], "error: syntax error at "),
+            (["gens", str(deep_z)], "error: cannot load prime data from %s: " % deep_z)]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(start)
+        assert "nested too deeply" in captured.err or "recursion" in captured.err
+
+
+def test_characteristic_past_the_primality_bound_exits_2(capsys):
+    char = "9" * 400
+    assert main(["contract-verify", "-n", "1", "-q", "1", "--char", char]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: characteristic must be below "
+                            "3317044064679887385961981, got %s\n" % char)

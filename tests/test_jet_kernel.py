@@ -31,7 +31,7 @@ def taylor_coefficients(f, assign, weights):
     """{e-monomial: (1/beta!) d^beta f at x_i -> t_assign(i)}, nonzero only."""
     lifted = Poly.from_terms(f.terms.items(), QQ)
     xs = sorted(assign)
-    to_t = {xvar(i): Poly.variable(tvar(assign[i]), QQ) for i in xs}
+    to_t = {xvar(i): tvar(assign[i]) for i in xs}
     out = {}
     for beta in itertools.product(*(range(weights[assign[i] - 1]) for i in xs)):
         g = lifted
@@ -39,7 +39,7 @@ def taylor_coefficients(f, assign, weights):
             for _ in range(b):
                 g = g.derivative(xvar(i))
         g = g.scale(QQ.inv(math.prod(math.factorial(b) for b in beta)))
-        g = Poly.from_terms(g.substitute(to_t).terms.items(), f.field)
+        g = Poly.from_terms(g.rename(to_t).terms.items(), f.field)
         if not g.is_zero():
             out[tuple((evar(i), b) for i, b in zip(xs, beta) if b)] = g
     return out

@@ -1,15 +1,17 @@
 """Polynomial arithmetic, parsing, printing, and discriminants."""
 
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from symprime import poly
 from symprime.groebner import poly_divides
-from symprime.poly import (FAMILIES, GF, ParseError, Poly, QQ, discriminant, mono_mul,
-                           parse, tvar, xvar)
+from symprime.poly import (FAMILIES, GF, InputError, ParseError, Poly, QQ, discriminant,
+                           mono_mul, parse, tvar, xvar)
 
 
 def test_parse_literals():
@@ -50,6 +52,13 @@ def test_digit_runs_int_refuses_are_parse_errors(text, pos):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert err.value.pos == pos
+
+
+def test_nesting_past_the_recursion_limit_is_a_parse_error():
+    with pytest.raises(ParseError, match="parentheses nested too deeply"):
+        parse("(" * 5000 + "x1" + ")" * 5000)
+    # no depth limit of its own: nesting the stack holds parses
+    assert parse("(" * 150 + "x1" + ")" * 150) == parse("x1")
 
 
 def test_decimal_digits_of_any_script_parse():
@@ -108,14 +117,21 @@ def test_roundtrip_gf(seed):
     assert parse(str(f), field=GF(7)) == f
 
 
-def test_substitute_simultaneous():
-    f = parse("x1 - x2")
-    image = f.substitute({xvar(1): parse("t1 + e1"), xvar(2): parse("t1 + e2")})
-    assert image == parse("e1 - e2")
+def test_rename_simultaneous():
     # simultaneous, not sequential: swapping variables
-    g = parse("x1 + 2*x2")
-    swapped = g.substitute({xvar(1): parse("x2"), xvar(2): parse("x1")})
-    assert swapped == parse("2*x1 + x2")
+    g = parse("x1 + 2*x2 + x1^3*t1")
+    swapped = g.rename({xvar(1): xvar(2), xvar(2): xvar(1)})
+    assert swapped == parse("2*x1 + x2 + x2^3*t1")
+    # across families, with every monomial re-sorted
+    assert g.rename({xvar(1): tvar(2), tvar(1): xvar(3)}) == parse("t2 + 2*x2 + x3*t2^3")
+
+
+def test_rename_merges_variables_sent_to_one():
+    f = parse("x1^2*x2 + x2*x3 + x1*x3 + 1")
+    merged = f.rename({xvar(2): xvar(1), xvar(3): xvar(1)})
+    assert merged == parse("x1^3 + 2*x1^2 + 1")
+    assert merged.terms[((xvar(1), 2),)] == 2
+    assert parse("x1 - x2").rename({xvar(2): xvar(1)}).is_zero()
 
 
 def test_sub_of_square_leaves_cross_term():
@@ -131,6 +147,20 @@ def test_derivative():
     assert f.derivative(xvar(1)) == parse("3*x1^2 - 3*x2")
     assert f.derivative(xvar(2)) == parse("-3*x1")
     assert parse("5").derivative(xvar(1)).is_zero()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_derivative_follows_the_power_rule(field):
+    f = parse("x1^7 + 2/3*x1^3*x2^2 - 5*x1*t1 + x2^4 + 1", field)
+    for v in (xvar(1), xvar(2), tvar(1), tvar(2)):
+        expected = Poly.from_terms(
+            ((tuple((w, k - (w == v)) for w, k in m if w != v or k > 1),
+              field.mul(c, field.coerce(dict(m)[v])))
+             for m, c in f.terms.items() if v in dict(m)), field)
+        assert f.derivative(v) == expected
+    # d/dx1 x1^7 = 7*x1^6, which is 0 over GF(7)
+    seventh = parse("x1^7", field).derivative(xvar(1))
+    assert seventh == (parse("7*x1^6") if field is QQ else Poly.zero(field))
 
 
 def test_evaluate():
@@ -305,21 +335,57 @@ def test_power_is_repeated_multiplication(field, seed):
         expected = Poly(field, reference_product(expected, f))
 
 
-def test_identity_substitution_returns_the_polynomial():
+def test_identity_rename_returns_the_polynomial():
     f = parse("x1^2 - 3*x1*t2 + 1")
-    same = {xvar(1): Poly.variable(xvar(1)), tvar(2): Poly.variable(tvar(2)),
-            tvar(5): Poly.variable(tvar(5))}
-    assert f.substitute(same) is f
-    assert f.substitute({}) is f
-    moved = f.substitute({xvar(1): Poly.variable(xvar(1)), tvar(2): Poly.variable(tvar(1))})
-    assert moved == parse("x1^2 - 3*x1*t1 + 1")
-    assert f.substitute({xvar(1): 1}) == parse("2 - 3*t2")
-    assert f.substitute({xvar(1): parse("2*x1")}) == parse("4*x1^2 - 6*x1*t2 + 1")
-    with pytest.raises(ValueError, match="mixed coefficient fields"):
-        f.substitute({xvar(1): Poly.variable(xvar(1), GF(7))})
+    assert f.rename({xvar(1): xvar(1), tvar(2): tvar(2), tvar(5): tvar(5)}) is f
+    assert f.rename({}) is f
+    assert f.rename({xvar(1): xvar(1), tvar(2): tvar(1)}) == parse("x1^2 - 3*x1*t1 + 1")
+
+
+def test_rename_keeps_the_field():
+    f = parse("3*x1^2 - x1*x2 + 5", GF(7))
+    moved = f.rename({xvar(1): xvar(2), xvar(2): tvar(1)})
+    assert moved.field is GF(7)
+    assert moved == parse("3*x2^2 - x2*t1 + 5", GF(7))
+    # 3*x1^2 + 4*x1^2 = 7*x1^2 = 0 in GF(7)
+    g = parse("3*x1^2 + 4*x2^2 + x3", GF(7))
+    assert g.rename({xvar(2): xvar(1)}) == parse("x3", GF(7))
 
 
 def test_text_is_printed_once():
     f = parse("(x1 - x2)^3 + t1")
     assert str(f) is str(f)
     assert f == parse(str(f))
+
+
+def _trial_division_is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def _builds_prime_field(p):
+    try:
+        poly.PrimeField(p)
+    except InputError as exc:
+        assert str(exc) == "characteristic must be prime, got %r" % p
+        return False
+    return True
+
+
+def test_prime_fields_agree_with_trial_division():
+    assert [p for p in range(-3, 10 ** 5)
+            if _builds_prime_field(p) != _trial_division_is_prime(p)] == []
+
+
+def test_strong_pseudoprimes_to_small_bases_are_refused():
+    # 3215031751 passes bases 2, 3, 5 and 7; 3825123056546413051 every
+    # prime base up to 23; 318665857834031151167461 every prime base up to 37
+    for p in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _builds_prime_field(p)
+
+
+def test_large_prime_fields_build_at_once():
+    start = time.perf_counter()
+    assert poly.PrimeField(2 ** 61 - 1).char == 2 ** 61 - 1
+    assert time.perf_counter() - start < 1
+    with pytest.raises(InputError, match="characteristic must be below 3317044064679887385961981"):
+        poly.PrimeField(10 ** 399)

@@ -8,7 +8,7 @@ import pytest
 from symprime.combinat import GoodPair, INF, shape
 from symprime.groebner import (Budget, BudgetExceededError, Ideal, ideal_equal,
                                radical_member, saturate)
-from symprime.poly import Poly, QQ, discriminant, parse, tvar
+from symprime.poly import discriminant, parse, tvar
 from symprime.sprime import SPrimeData, _saturated, make_sprime
 from symprime.theta import contains, equal, projection_ideal, theta, theta_pair
 
@@ -156,8 +156,7 @@ def test_relabeling_invariance(prime_pool, contains_memo):
     count = 0
     for parts, weights, gens in raw:
         p = make_sprime(parts, weights, [parse(s) for s in gens])
-        swapped_gens = [parse(s).substitute({tvar(1): Poly.variable(tvar(2), QQ),
-                                             tvar(2): Poly.variable(tvar(1), QQ)})
+        swapped_gens = [parse(s).rename({tvar(1): tvar(2), tvar(2): tvar(1)})
                         for s in gens]
         p_swapped = make_sprime(parts[::-1], weights[::-1], swapped_gens)
         for q in prime_pool.values():

@@ -172,3 +172,22 @@ def test_each_witness_is_one_product(circle22, monkeypatch):
     out = list(witness.witnesses(circle22.shape, target, locus))
     assert len(out) == 2 ** len(gps) == len(calls)
     assert len(set(out)) > 1
+
+
+def test_traces_are_enumerated_once_per_call(circle22, monkeypatch):
+    calls = []
+
+    def counted(gp, *args):
+        calls.append(gp)
+        return compatible_partitions(gp, *args)
+    monkeypatch.setattr(witness, "compatible_partitions", counted)
+    target = shape([INF], [2])
+    gps = good_pairs(target, circle22.shape)
+    locus = {gp: (parse("t1^2+t2^2-1"), parse("t1-t2")) for gp in gps}
+    assert len(list(witness.witnesses(circle22.shape, target, locus))) == 2 ** len(gps)
+    assert calls == list(gps)
+    # a good pair with no generators: no witness and no trace space enumerated
+    calls.clear()
+    locus[gps[-1]] = ()
+    assert list(witness.witnesses(circle22.shape, target, locus)) == []
+    assert calls == []
