@@ -7,7 +7,8 @@ problem files to a temporary directory:
 - `contain` on all 324 ordered pairs;
 - `gens` on every prime (fin31's takes the longest);
 - `theta` and `spectrum-slice` at fixed targets;
-- `member` with three polynomials at three `--max-reductions` values;
+- `member` with three polynomials at three `--max-reductions` values,
+  and once over a 1200-variable window, deeper than the recursion limit;
 - `witness` for the failing pairs of acceptance criterion 5;
 - `psi0`, `radical` and `contract-verify` on fixed inputs;
 - small budgets and bad input (bad polynomial text and a problem file
@@ -84,6 +85,8 @@ RADICALS = (("diag1", "diag2"), ("allzero1", "line0", "circle22"),
 CONTRACTS = (("2", "2,2", "0"), ("3", "2,2,2", "0"), ("3", "3,3,3", "2"),
              ("4", "2,2,2,2", "0"), ("2", "3,3", "3"), ("1", "2", "0"))
 NESTED = "(" * 5000 + "%s" + ")" * 5000
+# one walk level per window variable on a one-part prime
+WIDE = ["member", "diag1", "--poly", " + ".join("x%d" % i for i in range(1, 1201))]
 # problem files that fail to load: a JSON integer past int()'s digit limit,
 # JSON and a generator nested past the recursion limit
 BAD_FILES = {"bigint": '{"lambda": ["inf"], "e": [%s], "Z": []}' % ("1" * 5000),
@@ -132,6 +135,7 @@ def commands():
                    "--max-reductions", k]
         yield ["contract-verify", "-n", n, "-q", q, "--char", char, "--max-degree", "2"]
     yield from BAD
+    yield WIDE
 
 
 def run(argv):

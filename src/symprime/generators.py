@@ -21,9 +21,8 @@ def sign_normalize(f):
 
     The print starts with the canonical lead, so its text, which
     `dedup_sorted` sorts by anyway, gives the sign: a generator whose lead
-    is positive is put in canonical order once."""
-    if f.is_zero() or f.field.char != 0:
-        return f
+    is positive is put in canonical order once.  Zero prints as "0" and a
+    GF(p) print never starts with "-", so both come back unchanged."""
     return -f if str(f).startswith("-") else f
 
 

@@ -190,10 +190,11 @@ def _divide(work, heads, p, layout, budget, first=False):
     which tells only whether the remainder is zero.
 
     Leading terms leave `work` in decreasing order, so the remainder's
-    first term is its leading one.  Over QQ a step whose head's lc does
-    not divide the leading coefficient first multiplies `work`, the
-    remainder so far and the scale by the smallest factor that makes it
-    divide.
+    first term is its leading one.  A leading term of degree above the
+    budget is refused before it can reach the remainder.  Over QQ a step
+    whose head's lc does not divide the leading coefficient first
+    multiplies `work`, the remainder so far and the scale by the smallest
+    factor that makes it divide.
     """
     guard, mask = layout.guard, layout.mask
     max_degree, max_steps = budget.max_degree, budget.max_reductions
@@ -231,32 +232,19 @@ def _divide(work, heads, p, layout, budget, first=False):
 
 def _add_multiple(work, c, u, tail, p):
     """work += c*u*tail term by term, for packed monomials u and tail's;
-    coefficients are residues mod p, or integers when p = 0."""
+    coefficients are residues mod p, or integers when p = 0.  Every caller
+    keeps c*cg nonzero mod p (tails hold nonzero coefficients, and c is a
+    popped lc or an lc quotient), so a zero sum deletes a key of work."""
     get = work.get
-    if p:
-        for m, cg in tail:
-            m += u
-            w = get(m)
-            if w is None:
-                work[m] = cg * c % p
-            else:
-                w = (w + cg * c) % p
-                if w:
-                    work[m] = w
-                else:
-                    del work[m]
-    else:
-        for m, cg in tail:
-            m += u
-            w = get(m)
-            if w is None:
-                work[m] = cg * c
-            else:
-                w += cg * c
-                if w:
-                    work[m] = w
-                else:
-                    del work[m]
+    for m, cg in tail:
+        m += u
+        w = get(m, 0) + cg * c
+        if p:
+            w %= p
+        if w:
+            work[m] = w
+        else:
+            del work[m]
 
 
 def _update(heads, sugars, P, pairs, head, sugar, layout):
@@ -298,7 +286,7 @@ def _buchberger(gens, order, budget):
     field = gens[0].field
     p = field.char
     layout, packed = _pack_all(gens, order, budget.max_degree)
-    guard, mask = layout.guard, layout.mask
+    guard = layout.guard
     heads, sugars, P, pairs = [], [], set(), {}
     for terms, degree in packed:
         P = _update(heads, sugars, P, pairs, _head(terms, p), degree, layout)
@@ -319,9 +307,6 @@ def _buchberger(gens, order, budget):
         r = _divide(work, heads, p, layout, budget)[0]
         if not r:
             continue
-        degree = max(m & mask for m in r)
-        if degree > budget.max_degree:
-            raise BudgetExceededError("degree %d exceeds budget" % degree)
         P = _update(heads, sugars, P, pairs, _head(r.items(), p), sugar, layout)
     # minimalize, then fully interreduce
     minimal = []

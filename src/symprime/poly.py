@@ -594,13 +594,6 @@ class Poly:
             n >>= 1
         return result
 
-    def scale(self, c):
-        f = self.field
-        c = f.coerce(c)
-        if not c:
-            return Poly(f, {})
-        return Poly(f, {m: f.mul(cc, c) for m, cc in self.terms.items()})
-
     def _lift(self, other):
         if isinstance(other, Poly):
             if other.field is not self.field:
@@ -642,8 +635,7 @@ class Poly:
         for m, c in self.terms.items():
             val = c
             for v, k in m:
-                val = f.mul(val, f.coerce(point[v]) ** k if f.char == 0
-                            else pow(f.coerce(point[v]), k, f.char))
+                val = f.mul(val, pow(f.coerce(point[v]), k, f.char or None))
             total = f.add(total, val)
         return total
 

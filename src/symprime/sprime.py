@@ -313,23 +313,29 @@ def _walk(f, window, shape, classes):
         for b, a in zip(cls, cls[1:]):
             before[a - 1] = b - 1
     used = [0] * r
-    path = []
-
-    def descend(state):
+    path = []             # the part placed at each level so far
+    states = [jets.root]  # states[l]: the state with l variables placed
+    nexts = [0]           # nexts[l]: the first part index level l has yet to try
+    while True:
         level = len(path)
+        a = nexts[level]
         if level == len(xs):
-            yield dict(zip(xs, path)), jets.coefficients(state)
+            yield dict(zip(xs, path)), jets.coefficients(states[level])
+            a = r  # a leaf has no children
+        while a < r and not (used[a] < caps[a] and (before[a] is None or used[before[a]])):
+            a += 1
+        if a < r:
+            nexts[level] = a + 1
+            used[a] += 1
+            path.append(a + 1)
+            states.append(jets.step(states[level], level, a + 1, weights[a]))
+            nexts.append(0)
+        elif path:
+            used[path.pop() - 1] -= 1
+            states.pop()
+            nexts.pop()
+        else:
             return
-        for a in range(r):
-            b = before[a]
-            if used[a] < caps[a] and (b is None or used[b]):
-                used[a] += 1
-                path.append(a + 1)
-                yield from descend(jets.step(state, level, a + 1, weights[a]))
-                path.pop()
-                used[a] -= 1
-
-    return descend(jets.root)
 
 
 def member(f, p, budget=None):

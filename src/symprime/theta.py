@@ -27,9 +27,6 @@ class ThetaResult:
     ideal: Ideal
     components: tuple  # of (GoodPair, Ideal)
 
-    def is_proper(self):
-        return bool(self.ideal.gens)
-
 
 @dataclass(frozen=True)
 class Containment:

@@ -467,6 +467,15 @@ def test_member_checks_the_degree_budget_before_the_walk(tmp_path, capsys, monke
     assert len(built) == 1
 
 
+def test_member_walks_a_1200_variable_window(tmp_path, capsys):
+    # the walk goes one level deeper per window variable
+    path = tmp_path / "diag1.json"
+    path.write_text(json.dumps({"lambda": ["inf"], "e": [1], "Z": []}))
+    poly = " + ".join("x%d" % i for i in range(1, 1201))
+    code, report = run(capsys, "member", str(path), "--poly", poly)
+    assert code == 0 and report["member"] is False
+
+
 def test_deeply_nested_input_exits_2(problem_files, tmp_path, capsys):
     # each parses to a RecursionError, which is an input error here
     deep = tmp_path / "deep.json"

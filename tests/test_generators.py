@@ -200,5 +200,5 @@ def test_phi_targets_match_the_intersected_closure(key):
     lam = p.shape
     expected = [cand for cand in box_candidates(lam.r, 1 + lam.finite_sum(),
                                                 lam.inf_weight_sum())
-                if shape_leq(cand, lam) and theta(p, cand).is_proper()]
+                if shape_leq(cand, lam) and theta(p, cand).ideal.gens]
     assert _phi_targets(p) == sorted(expected, key=shape_sort_key)

@@ -12,7 +12,7 @@ from symprime.groebner import (DEFAULT_BUDGET, Budget, BudgetExceededError,
                                ideal_member, is_unit_ideal, normal_form, radical_member,
                                saturate, spoly, variety_contained)
 from symprime.poly import (GF, PackedLayout, Poly, QQ, Rationals, evar, mono_degree,
-                           mono_div, mono_divides, parse, tvar, xvar)
+                           mono_div, mono_divides, parse, tvar, xvar, zvar)
 
 
 def gb_strs(I, order=None):
@@ -156,7 +156,7 @@ def test_one_generator_basis_is_the_monic_generator(field, kind, leading_calls):
     g = parse("-3/2*t1^2*t2 - 2/5*t3^3 + 4/3*t2*t3 + 1", field)
     lc = g.leading(order)[1]
     assert field is not QQ or lc < 0
-    monic = g.scale(field.inv(lc))
+    monic = g * field.inv(lc)
     leading_calls.clear()
     gb = groebner_basis(Ideal([g]), order)
     assert gb.gens == (monic,)
@@ -172,6 +172,14 @@ def test_ideal_intersect_examples():
     I = Ideal([parse("t1^2+t2^2-1")])
     assert ideal_equal(ideal_intersect(I, Ideal([parse("1")], ambient=amb)), I)
     assert ideal_equal(ideal_intersect(I, I), I)
+
+
+def test_auxiliary_variable_is_fresh_to_a_z_already_present():
+    # each construction must pick z2, not the z1 its inputs already use
+    t1, z1 = Poly.variable(tvar(1)), Poly.variable(zvar(1))
+    assert not radical_member(t1 + 2, Ideal([t1 ** 2, z1 - 1]))
+    assert saturate(Ideal([z1 - t1]), t1).gens == (t1 - z1,)
+    assert ideal_intersect(Ideal([z1]), Ideal([t1])).gens == (t1 * z1,)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])

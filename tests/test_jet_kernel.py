@@ -38,7 +38,7 @@ def taylor_coefficients(f, assign, weights):
         for i, b in zip(xs, beta):
             for _ in range(b):
                 g = g.derivative(xvar(i))
-        g = g.scale(QQ.inv(math.prod(math.factorial(b) for b in beta)))
+        g = g * QQ.inv(math.prod(math.factorial(b) for b in beta))
         g = Poly.from_terms(g.rename(to_t).terms.items(), f.field)
         if not g.is_zero():
             out[tuple((evar(i), b) for i, b in zip(xs, beta) if b)] = g

@@ -169,6 +169,18 @@ def test_evaluate():
     assert f.evaluate({xvar(1): Fraction(1, 2), xvar(2): Fraction(3)}) == Fraction(11, 4)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_evaluate_matches_a_per_term_sum(field):
+    rng = random.Random(7)
+    values = ([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
+              if field is QQ else [rng.randint(-20, 20) for _ in range(3)])
+    point = {xvar(i + 1): v for i, v in enumerate(values)}
+    f = parse("3*x1^5*x2 - 1/2*x2^3*x3^2 + 5*x1*x3^4 + x2^9 - 4", field)
+    expected = sum(Fraction(c) * math.prod(Fraction(point[v]) ** k for v, k in m)
+                   for m, c in f.terms.items())
+    assert f.evaluate(point) == field.coerce(expected)
+
+
 def test_discriminant_small():
     assert discriminant([1]) == 1
     assert discriminant([1, 2]) == parse("x1 - x2")

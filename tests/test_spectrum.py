@@ -21,6 +21,15 @@ def test_make_radical_prunes_containing_component(prime_pool):
     assert make_radical([p2, p1]).primes == (p2,)
 
 
+def test_make_radical_keeps_the_first_of_equal_data():
+    # distinct data for the same prime: each contains the other
+    a = make_sprime([INF], [1], [parse("t1-1")])
+    b = make_sprime([INF], [1], [parse("2*t1-2")])
+    assert a != b
+    assert make_radical([a, b]).primes == (a,)
+    assert make_radical([b, a]).primes == (b,)
+
+
 def test_make_radical_trivia(prime_pool):
     p = prime_pool["circle22"]
     assert make_radical([p]).primes == (p,)

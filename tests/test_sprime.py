@@ -354,3 +354,10 @@ def test_placement_budget_counts_every_placement():
     with pytest.raises(BudgetExceededError, match="placement space of size 4 exceeds"):
         member(f, p, Budget(max_reductions=3))
     assert not member(f, p, Budget(max_reductions=4))
+
+
+def test_member_walks_a_window_deeper_than_the_recursion_limit():
+    # a one-part prime places every window variable, one level each
+    p = make_sprime([INF], [1], [])
+    f = parse(" + ".join("x%d" % i for i in range(1, 1201)))
+    assert not member(f, p)
