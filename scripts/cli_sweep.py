@@ -15,7 +15,8 @@ problem files to a temporary directory:
   that does not load included), so that exits 2 and 3 are covered.
 
 It prints the number of commands; per command kind, the wall time, the
-count of each exit code, and the slowest command with its time; and one
+count of each exit code, and the slowest command with its time (a command
+line past 100 characters is cut there, its full length given); and one
 sha256 over (argv, stdout, stderr, exit code) of every command.  Two
 source trees give the same hash exactly when every command gives the same
 output and exit code.
@@ -179,8 +180,11 @@ def main():
     for kind, s in sorted(seconds.items()):
         codes = {str(c): n for (k, c), n in sorted(exits.items()) if k == kind}
         took, argv = slowest[kind]
+        line = " ".join(argv)
+        if len(line) > 100:
+            line = "%s... (%d characters)" % (line[:100], len(line))
         print("%-16s %8.2f s  exits %s  slowest %.3f s: %s"
-              % (kind, s, json.dumps(codes), took, " ".join(argv)))
+              % (kind, s, json.dumps(codes), took, line))
     print("sha256 %s" % digest.hexdigest())
     print("replay %.2f s  records differing from the first run: %d" % (replay_s, differ))
 

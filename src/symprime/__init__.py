@@ -8,11 +8,10 @@ __version__ = "0.1.0"
 from .poly import GF, InputError, ParseError, Poly, QQ, discriminant, parse
 from .groebner import (Budget, BudgetExceededError, Ideal, MonomialOrder, eliminate,
                        groebner_basis, ideal_equal, ideal_intersect, ideal_member,
-                       normal_form, radical_member, saturate, variety_contained)
+                       normal_form, radical_member, saturate)
 from .combinat import (INF, GoodPair, WeightedShape, canonicalize, good_pairs, psi0,
                        refinement_pairs, shape, shape_leq)
-from .sprime import (SPrimeData, make_sprime, member, member_via_derivatives,
-                     q_ideal_truncated, radical_of)
+from .sprime import SPrimeData, make_sprime, member, member_via_derivatives, radical_of
 from .theta import Containment, ThetaResult, contains, equal, theta, theta_pair
 from .witness import NoWitnessError, WitnessLayout, build_h, certify, compatible_partitions
 from .generators import full_gens, gens_G, gens_H, verify_gens

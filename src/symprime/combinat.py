@@ -129,11 +129,13 @@ def good_pairs(target, source):
     The multiplicity condition requires each target part size to be at most
     the total source size mapped onto it; the weight condition requires each
     infinite target part's weight to be at most the total weight of the
-    infinite source parts mapped onto it.
+    infinite source parts mapped onto it.  A domain of fewer than target.r
+    parts leaves some target part an empty fiber, of size 0, so domains
+    start at target.r parts.
     """
     src_idx = range(source.r)
     subsets = sorted(
-        (tuple(c) for k in range(1, source.r + 1)
+        (tuple(c) for k in range(target.r, source.r + 1)
          for c in itertools.combinations(src_idx, k)))
     out = []
     for domain in subsets:

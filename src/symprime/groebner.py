@@ -475,11 +475,3 @@ def ideal_intersect(I, J, budget=None):
     gens = [zp * g for g in I.gens] + [(one - zp) * h for h in J.gens]
     K = Ideal(gens, ambient=I.ambient + J.ambient + (z,), field=I.field)
     return eliminate(K, (z,), budget)
-
-
-def variety_contained(I, J, D, budget=None):
-    """True iff the variety of I, off the locus D = 0, lies in the variety of J."""
-    if D.is_zero():
-        raise ValueError("the restriction polynomial D must be nonzero")
-    sat = saturate(I, D, budget)
-    return all(radical_member(g, sat, budget) for g in J.gens)

@@ -90,22 +90,6 @@ def saturated_ideal(p):
     return _saturated(p.z_ideal, p.shape.r)
 
 
-def q_ideal_truncated(p, rho):
-    """Finite-window jet ideal: configuration relations plus e_i^(weight).
-
-    rho maps each window index i (1-based) to a part position (1-based).
-    """
-    r = p.shape.r
-    gens = list(p.z_ideal.gens)
-    ambient = list(tvar(i + 1) for i in range(r))
-    for i, alpha in sorted(rho.items()):
-        if not 1 <= alpha <= r:
-            raise InputError("assignment target %d out of range" % alpha)
-        gens.append(Poly.variable(evar(i), QQ) ** p.shape.weights[alpha - 1])
-        ambient.append(evar(i))
-    return Ideal(gens, ambient=tuple(ambient))
-
-
 def assignments(indices, shape):
     """All placements of the window indices into parts, respecting finite
     part capacities.  Yields dicts index -> part position (1-based)."""
@@ -228,20 +212,6 @@ class _Jets:
         return {em: Poly(self.field, terms) for em, terms in out.items()}
 
 
-def truncated_substitution(f, assign, weights):
-    """Coefficients of f(x_i -> t_part(i) + e_i) with e_i^weight truncated.
-
-    Returns a dict mapping jet monomials (in the e-variables) to polynomials
-    in the t-variables.  weights is indexed by part position - 1.  This is
-    the walk of `placement_jets` down the one branch `assign`.
-    """
-    jets = _Jets(f, _x_window(f), len(weights))
-    state = jets.root
-    for level, i in enumerate(jets.xs):
-        state = jets.step(state, level, assign[i], weights[assign[i] - 1])
-    return jets.coefficients(state)
-
-
 def part_classes(p, budget=None):
     """Classes of parts that p's symmetry may exchange, as ascending tuples
     of part positions (1-based), in order of their least positions.
@@ -281,12 +251,14 @@ def part_classes(p, budget=None):
 
 
 def placement_jets(f, shape, classes=()):
-    """Yield (assign, truncated_substitution(f, assign, shape.weights)) for
-    one placement per orbit of the group that permutes each class of
-    `classes` (tuples of part positions, as from `part_classes`), in
-    assignments(xs, shape) order, xs being f's window.  Without classes
-    every placement is its own orbit, so every placement of `assignments`
-    is yielded.
+    """Yield (assign, jets) for one placement per orbit of the group that
+    permutes each class of `classes` (tuples of part positions, as from
+    `part_classes`), in assignments(xs, shape) order, xs being f's window.
+    Without classes every placement is its own orbit, so every placement
+    of `assignments` is yielded.  jets maps each jet monomial (in the
+    e-variables) to its coefficient, a polynomial in the t-variables, in
+    f(x_i -> t_assign(i) + e_i) with e_i^weight truncated, weight being
+    that of part assign(i).
 
     The placements form a tree whose level l places the l-th window
     variable.  Each node expands its parent's state by one variable, so a

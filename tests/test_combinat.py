@@ -128,6 +128,36 @@ def test_shape_leq_agrees_with_good_pairs(box):
             assert shape_leq(a, b) == bool(good_pairs(a, b)), (str(a), str(b))
 
 
+def _good_pairs_unpruned(target, source):
+    """good_pairs without its domain prune, as the reference: every
+    nonempty subset of source parts is tried, in sorted order."""
+    subsets = sorted(tuple(c) for k in range(1, source.r + 1)
+                     for c in itertools.combinations(range(source.r), k))
+    out = []
+    for domain in subsets:
+        for targets in itertools.product(range(target.r), repeat=len(domain)):
+            ok = True
+            for beta in range(target.r):
+                fiber = [a for a, b in zip(domain, targets) if b == beta]
+                size = sum(source.parts[a] for a in fiber)
+                wsum = sum(source.weights[a] for a in fiber if source.parts[a] == INF)
+                if target.parts[beta] > size or (target.parts[beta] == INF
+                                                 and target.weights[beta] > wsum):
+                    ok = False
+                    break
+            if ok:
+                out.append(combinat.GoodPair(domain, targets))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("box", [(3, 3, 3), (4, 2, 1)], ids=str)
+def test_good_pairs_matches_the_unpruned_loop(box):
+    shapes = list(box_candidates(*box))
+    for a in shapes:
+        for b in shapes:
+            assert good_pairs(a, b) == _good_pairs_unpruned(a, b), (str(a), str(b))
+
+
 def _degeneration(data, b):
     """A shape below b, built from a total map of some of b's parts onto
     new parts followed by shrinking each new part's size or weight."""

@@ -10,7 +10,7 @@ from symprime.groebner import (DEFAULT_BUDGET, Budget, BudgetExceededError,
                                Ideal, MonomialOrder, eliminate, groebner_basis,
                                ideal_contains, ideal_equal, ideal_intersect,
                                ideal_member, is_unit_ideal, normal_form, radical_member,
-                               saturate, spoly, variety_contained)
+                               saturate, spoly)
 from symprime.poly import (GF, PackedLayout, Poly, QQ, Rationals, evar, mono_degree,
                            mono_div, mono_divides, parse, tvar, xvar, zvar)
 
@@ -231,16 +231,6 @@ def test_ideal_member_reuses_the_default_order(monkeypatch):
     # a polynomial outside the ambient needs the wider order, once per call
     assert not ideal_member(parse("t3"), circle)
     assert len(built) == 1
-
-
-def test_variety_contained_examples():
-    amb = (tvar(1), tvar(2))
-    I = Ideal([parse("t1+t2")])
-    assert variety_contained(I, I, parse("t1-t2"))
-    assert variety_contained(Ideal([parse("t1-1"), parse("t2+1")]),
-                             Ideal([parse("t1^2+t2^2-2")]), parse("t1-t2"))
-    assert not variety_contained(Ideal([], ambient=(tvar(1),)),
-                                 Ideal([parse("t1")]), parse("1"))
 
 
 def test_budget_exceeded():

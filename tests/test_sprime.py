@@ -13,8 +13,7 @@ from symprime.generators import full_gens
 from symprime.groebner import Budget, BudgetExceededError
 from symprime.poly import GF, InputError, Poly, QQ, parse, xvar
 from symprime.sprime import (SPrimeData, assignments, make_sprime, member,
-                             member_via_derivatives, part_classes,
-                             q_ideal_truncated, radical_of)
+                             member_via_derivatives, part_classes, radical_of)
 
 
 def test_make_sprime_refuses_generators_outside_qq():
@@ -50,18 +49,6 @@ def test_radical_of():
     assert radical_of(r) == r
     circ = make_sprime([INF, INF], [2, 2], [parse("t1^2+t2^2-1")])
     assert radical_of(circ).shape == shape([INF, INF], [1, 1])
-
-
-def test_q_ideal_truncated_examples():
-    p = make_sprime([INF], [2], [parse("t1")])
-    qi = q_ideal_truncated(p, {1: 1, 2: 1})
-    assert [str(g) for g in qi.gens] == ["t1", "e1^2", "e2^2"]
-    p2 = make_sprime([INF], [1], [])
-    qi2 = q_ideal_truncated(p2, {1: 1, 2: 1})
-    assert [str(g) for g in qi2.gens] == ["e1", "e2"]
-    circ = make_sprime([INF, INF], [2, 2], [parse("t1^2+t2^2-1")])
-    qi3 = q_ideal_truncated(circ, {1: 1, 2: 2})
-    assert [str(g) for g in qi3.gens] == ["t1^2 + t2^2 - 1", "e1^2", "e2^2"]
 
 
 def test_member_power_ideal():
