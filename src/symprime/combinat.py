@@ -132,29 +132,49 @@ def good_pairs(target, source):
     infinite source parts mapped onto it.  A domain of fewer than target.r
     parts leaves some target part an empty fiber, of size 0, so domains
     start at target.r parts.
+
+    Each domain's maps are searched depth first, in `itertools.product`
+    order.  Per target part the search keeps its fiber's finite size, its
+    number of infinite source parts and their weight; the part is short
+    while its fiber fails a condition.  Each source part joins one fiber,
+    so a branch with more short target parts than domain positions left is
+    cut: backtracking with a feasibility cut (Knuth, The Art of Computer
+    Programming, vol. 4B, 7.2.2), the enumerating twin of `shape_leq`.
     """
-    src_idx = range(source.r)
-    subsets = sorted(
-        (tuple(c) for k in range(target.r, source.r + 1)
-         for c in itertools.combinations(src_idx, k)))
+    r = target.r
+    need = [(p, w if p == INF else 0) for p, w in zip(target.parts, target.weights)]
+    size, infs, weight = [0] * r, [0] * r, [0] * r
+
+    def short(beta):
+        p, w = need[beta]
+        return (not infs[beta] and p > size[beta]) or weight[beta] < w
+
     out = []
-    for domain in subsets:
-        for targets in itertools.product(range(target.r), repeat=len(domain)):
-            ok = True
-            for beta in range(target.r):
-                fiber = [a for a, b in zip(domain, targets) if b == beta]
-                size = sum(source.parts[a] for a in fiber) if fiber else 0
-                if target.parts[beta] > size:
-                    ok = False
-                    break
-                if target.parts[beta] == INF:
-                    wsum = sum(source.weights[a] for a in fiber
-                               if source.parts[a] == INF)
-                    if target.weights[beta] > wsum:
-                        ok = False
-                        break
-            if ok:
-                out.append(GoodPair(domain, targets))
+
+    def place(domain, targets, i, n_short):
+        if n_short > len(domain) - i:
+            return
+        if i == len(domain):
+            out.append(GoodPair(domain, tuple(targets)))
+            return
+        p, w = source.parts[domain[i]], source.weights[domain[i]]
+        for beta in range(r):
+            saved = size[beta], infs[beta], weight[beta]
+            was = short(beta)
+            if p == INF:
+                infs[beta] += 1
+                weight[beta] += w
+            else:
+                size[beta] += p
+            targets.append(beta)
+            place(domain, targets, i + 1, n_short - (was and not short(beta)))
+            targets.pop()
+            size[beta], infs[beta], weight[beta] = saved
+
+    n_short = sum(short(beta) for beta in range(r))
+    for domain in sorted(tuple(c) for k in range(r, source.r + 1)
+                         for c in itertools.combinations(range(source.r), k)):
+        place(domain, [], 0, n_short)
     return tuple(out)
 
 

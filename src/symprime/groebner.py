@@ -28,8 +28,9 @@ head's lc hc does not divide the leading coefficient lc.  Field
 coefficients come back only on the way out, through `poly.divide_out`: a
 basis element is divided by its lc, and a remainder by its denominator
 and scale.  A reduced basis keeps its packed heads, and whether their
-leading monomials are all squarefree, so `ideal_member` and
-`radical_member` pack it once per order and degree bound.
+leading monomials are all squarefree (`packed_basis`), so `ideal_member`,
+`radical_member` and `sprime.member` pack it once per order and degree
+bound, and `reduces_to_zero` divides packed ints by it.
 """
 
 from dataclasses import dataclass
@@ -357,10 +358,10 @@ def _divided(f, I, budget):
     """(f lies in I, every leading monomial of I's reduced basis is
     squarefree), from one division of f by that basis.  Grevlex over the
     wider set restricts to I's default order, so I's cached basis serves,
-    and so do the packed heads and the flag cached on it per (order,
-    degree budget).  The order is graded, so f of degree above the budget
-    leads with a term that the first division step would refuse; it is
-    refused before division, so the budget's layout always holds f."""
+    and so does its `packed_basis` entry.  The order is graded, so f of
+    degree above the budget leads with a term that the first division step
+    would refuse; it is refused before division, so the budget's layout
+    always holds f."""
     if f.field.char != I.field.char:
         raise ValueError("mixed coefficient fields")
     fvars = f.variables()
@@ -368,22 +369,49 @@ def _divided(f, I, budget):
         order = I.default_order()
     else:
         order = MonomialOrder.grevlex(fvars.union(I.ambient))
-    gb = groebner_basis(I, budget=budget)
-    if not gb.gens:
+    basis = packed_basis(I, order, budget)
+    layout, heads, squarefree = basis
+    if not heads:
         return f.is_zero(), True
-    key = (order, budget.max_degree)
-    entry = gb._heads.get(key)
-    if entry is None:
-        layout, heads = _packed_heads(gb.gens, order, budget.max_degree)
-        unpack = layout.unpack
-        squarefree = all(k == 1 for lm, _, _ in heads for _, k in unpack(lm))
-        entry = gb._heads[key] = (layout, heads, squarefree)
-    layout, heads, squarefree = entry
     terms, top = layout.pack(f.terms)
     if top > budget.max_degree:
         raise BudgetExceededError("degree %d exceeds budget" % top)
-    work = dict(clear_denominators(terms)[0])
-    return not _divide(work, heads, I.field.char, layout, budget)[0], squarefree
+    return reduces_to_zero(dict(clear_denominators(terms)[0]), basis, I.field.char,
+                           budget), squarefree
+
+
+def packed_basis(I, order=None, budget=None):
+    """(layout, heads, squarefree) of I's reduced basis (default order),
+    packed in `order`, which must restrict to I's default order (grevlex
+    over a superset of I's ambient does).  The layout holds the degree
+    budget; the heads are normalized (lm, lc, other terms), none for the
+    zero ideal; squarefree tells whether every leading monomial is.  Cached
+    on the basis per (order, degree budget)."""
+    budget = budget or DEFAULT_BUDGET
+    order = order or I.default_order()
+    gb = groebner_basis(I, budget=budget)
+    key = (order, budget.max_degree)
+    entry = gb._heads.get(key)
+    if entry is None:
+        if gb.gens:
+            layout, heads = _packed_heads(gb.gens, order, budget.max_degree)
+            unpack = layout.unpack
+            squarefree = all(k == 1 for lm, _, _ in heads for _, k in unpack(lm))
+        else:
+            layout, heads, squarefree = PackedLayout(order, budget.max_degree), [], True
+        entry = gb._heads[key] = (layout, heads, squarefree)
+    return entry
+
+
+def reduces_to_zero(work, basis, p, budget):
+    """True iff the packed term dict `work`, ints in the layout of `basis`
+    (a `packed_basis` entry) that are a nonzero multiple of a polynomial,
+    has remainder zero: the polynomial lies in the ideal.  Residues mod p
+    over GF(p).  `work` is divided in place."""
+    layout, heads, _ = basis
+    if not heads:
+        return not work
+    return not _divide(work, heads, p, layout, budget)[0]
 
 
 def ideal_contains(I, J, budget=None):

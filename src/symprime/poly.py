@@ -15,7 +15,9 @@ once), large `Poly` products and the canonical print run on it, and so
 does the Groebner kernel.  The jet walk (`sprime._Jets`) keeps its own
 narrower keys (bit_length(deg f) bits per exponent, no order fields or
 guard bits): it adds keys and shifts exponents but never compares keys,
-and on a grevlex `PackedLayout` it ran about 30 % slower.
+and on a grevlex `PackedLayout` it ran about 30 % slower.  `sprime.member`
+moves each leaf's t-parts into the Groebner kernel's layout, through
+`PackedLayout.unit`, only to divide them.
 """
 
 from fractions import Fraction
@@ -390,6 +392,10 @@ class PackedLayout:
             if d > top:
                 top = d
         return out, top
+
+    def unit(self, v):
+        """The packed monomial of variable v alone."""
+        return self._units[v]
 
     def unpack(self, p):
         """The sparse monomial tuple of a packed monomial."""

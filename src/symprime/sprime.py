@@ -11,7 +11,10 @@ placements are walked as a tree, one variable per level: x_i -> t_alpha + e_i
 is substituted into the parent's expansion, so a shared prefix of placements
 is expanded once and terms cancel at the level where they meet.  The
 expansion runs on ints (f's coefficients over their common denominator, or
-unreduced residues mod p), which are divided back out only at the leaves.
+unreduced residues mod p).  `member` never divides them back out: each
+leaf's t-parts move straight into the packed layout of the saturated
+ideal's reduced basis, and each coefficient is divided there as a multiple
+of itself.  Only `placement_jets` returns field coefficients.
 Parts of equal size and weight whose exchange fixes the saturated
 configuration ideal give the same prime, so placements that such exchanges
 relate get the same verdict, and `member` walks one placement per orbit.
@@ -24,10 +27,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .combinat import INF, WeightedShape, canonicalize, json_parts_weights
-from .groebner import (DEFAULT_BUDGET, BudgetExceededError, Ideal,
-                       ideal_member, is_unit_ideal, radical_member, saturate)
-from .poly import (InputError, Poly, QQ, clear_denominators, discriminant, divide_out,
-                   evar, parse, tvar, xvar)
+from .groebner import (DEFAULT_BUDGET, BudgetExceededError, Ideal, ideal_member,
+                       is_unit_ideal, packed_basis, radical_member, reduces_to_zero,
+                       saturate)
+from .poly import (InputError, MonomialOrder, Poly, QQ, clear_denominators, discriminant,
+                   divide_out, evar, parse, tvar, xvar)
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,13 @@ def _decode(packed, width, var, indices):
     return tuple(mono)
 
 
+@lru_cache(maxsize=256)
+def _binomial_rows(weight, deg):
+    """rows[k] = (C(k, 1), ..., C(k, j)) for j < weight, 0 <= k <= deg."""
+    return tuple(tuple(math.comb(k, j) for j in range(1, min(k + 1, weight)))
+                 for k in range(deg + 1))
+
+
 class _Jets:
     """Jet states of one polynomial f during the substitution x_i -> t + e_i.
 
@@ -157,19 +168,14 @@ class _Jets:
             for v, k in mono:
                 key += k << shift[v]
             root[key] = c
-        self._binomials = {}
         self._t_monos = {}
         self._e_monos = {}
+        self._t_packed = {}
 
     def step(self, state, level, alpha, weight):
         """State after substituting x_xs[level] -> t_alpha + e, truncated at
         e^weight.  Terms that meet are summed, and cancel, here."""
-        rows = self._binomials.get(weight)
-        if rows is None:
-            # rows[k] = (C(k, 1), ..., C(k, j)) for j < weight, j <= k <= deg f
-            rows = self._binomials[weight] = [
-                tuple(math.comb(k, j) for j in range(1, min(k + 1, weight)))
-                for k in range(self.deg + 1)]
+        rows = _binomial_rows(weight, self.deg)
         w = self.width
         x_shift = self.x_base + w * level
         t_one = 1 << (w * (alpha - 1))
@@ -210,6 +216,43 @@ class _Jets:
                 em = e_monos[e_packed] = _decode(e_packed, w, evar, self.xs)
             out.setdefault(em, {})[tm] = c
         return {em: Poly(self.field, terms) for em, terms in out.items()}
+
+    def coefficient(self, state, e_part):
+        """The t-polynomial of one packed e-part of a state with every
+        variable placed, as `coefficients` gives it."""
+        e_base = self.e_base
+        (tpoly,) = self.coefficients(
+            {key: c for key, c in state.items() if key >> e_base == e_part}).values()
+        return tpoly
+
+    def groups(self, state, units):
+        """{packed e-part: {packed t-monomial: int}} of a state with every
+        variable placed, zeros dropped: the ints of `coefficients`, not
+        divided by `den`, and residues mod p reduced.  units[alpha - 1] is
+        t_alpha's unit in the packed layout to map into, one layout per
+        walk, since the map is memoized."""
+        w, e_base = self.width, self.e_base
+        t_mask, mask = (1 << e_base) - 1, (1 << w) - 1
+        memo, char = self._t_packed, self.field.char
+        out = {}
+        for key, c in state.items():
+            if char:
+                c %= char
+                if not c:
+                    continue
+            packed = key & t_mask
+            m = memo.get(packed)
+            if m is None:
+                m, rest = 0, packed
+                for u in units:
+                    m += (rest & mask) * u
+                    rest >>= w
+                memo[packed] = m
+            group = out.get(key >> e_base)
+            if group is None:
+                group = out[key >> e_base] = {}
+            group[m] = c
+        return out
 
 
 def part_classes(p, budget=None):
@@ -271,13 +314,15 @@ def placement_jets(f, shape, classes=()):
     of each orbit, the first in `assignments` order.  The parts of a class
     have the same size, so the picked placement keeps the capacities.
     """
-    return _walk(f, _x_window(f), shape, classes)
+    jets = _Jets(f, _x_window(f), shape.r)
+    return ((dict(zip(jets.xs, path)), jets.coefficients(state))
+            for path, state in _walk(jets, shape, classes))
 
 
-def _walk(f, window, shape, classes):
-    """`placement_jets` over f's window, which the caller has computed."""
+def _walk(jets, shape, classes):
+    """(path, state) at each leaf of the `placement_jets` walk of jets,
+    path holding the part of each window variable."""
     r, weights = shape.r, shape.weights
-    jets = _Jets(f, window, r)
     xs = jets.xs
     caps = [p if p != INF else len(xs) for p in shape.parts]
     before = [None] * r     # part index -> index of its class member before it
@@ -292,7 +337,7 @@ def _walk(f, window, shape, classes):
         level = len(path)
         a = nexts[level]
         if level == len(xs):
-            yield dict(zip(xs, path)), jets.coefficients(states[level])
+            yield tuple(path), states[level]
             a = r  # a leaf has no children
         while a < r and not (used[a] < caps[a] and (before[a] is None or used[before[a]])):
             a += 1
@@ -326,22 +371,45 @@ def member(f, p, budget=None):
     `assignments` order, where a class's parts are used in order), and the
     first coefficient that does not vanish ends it.  The `r ** len(xs)`
     budget guard still counts every placement.
+
+    A leaf's coefficients are never divided back to field coefficients.
+    The walk's ints are each coefficient times one nonzero constant (`den`)
+    over QQ, so each is divided as it stands, packed in the layout of the
+    saturated ideal's reduced basis, fetched once per call; the verdict and
+    the division steps are those of the coefficient itself.  A nonzero
+    remainder means False when the basis's leading monomials are
+    squarefree; otherwise that coefficient's `Poly` goes to
+    `radical_member`.
     """
     budget = budget or DEFAULT_BUDGET
     if f.is_zero():
         return True
     xs, degree = window = _x_window(f)
     sat = saturated_ideal(p)
-    if is_unit_ideal(sat, budget):
+    ts = [tvar(alpha) for alpha in range(1, p.shape.r + 1)]
+    # sat's ambient is t1..tr unless p was built by hand
+    order = None if set(ts).issubset(sat.ambient) else MonomialOrder.grevlex(
+        set(ts).union(sat.ambient))
+    basis = packed_basis(sat, order, budget)
+    layout, heads, squarefree = basis
+    if heads and not heads[0][0]:  # a constant head: the basis is (1)
         return True
     count = p.shape.r ** len(xs)
     if count > budget.max_reductions:
         raise BudgetExceededError("placement space of size %d exceeds budget" % count)
     if degree > budget.max_degree:  # before the walk builds deg f + 1 binomial rows
         raise BudgetExceededError("degree %d exceeds budget" % degree)
-    for _assign, coeffs in _walk(f, window, p.shape, part_classes(p, budget)):
-        for tpoly in coeffs.values():
-            if not radical_member(tpoly, sat, budget):
+    classes = part_classes(p, budget)
+    jets = _Jets(f, window, p.shape.r)
+    units = [layout.unit(t) for t in ts]
+    char = f.field.char
+    for _path, state in _walk(jets, p.shape, classes):
+        for e_part, work in jets.groups(state, units).items():
+            if char != sat.field.char:
+                raise ValueError("mixed coefficient fields")
+            if not reduces_to_zero(work, basis, char, budget) and (
+                    squarefree
+                    or not radical_member(jets.coefficient(state, e_part), sat, budget)):
                 return False
     return True
 

@@ -10,9 +10,10 @@ from hypothesis import assume, given, settings, strategies as st
 from symprime import sprime
 from symprime.combinat import INF, shape
 from symprime.generators import full_gens
-from symprime.groebner import Budget, BudgetExceededError
+from symprime.groebner import Budget, BudgetExceededError, Ideal, radical_member
 from symprime.poly import GF, InputError, Poly, QQ, parse, xvar
 from symprime.sprime import (SPrimeData, assignments, make_sprime, member,
+                             placement_jets,
                              member_via_derivatives, part_classes, radical_of)
 
 
@@ -286,8 +287,9 @@ def test_asymmetric_locus_keeps_the_swapped_placements():
 
 @pytest.fixture()
 def walk_counts(monkeypatch):
-    """Counts of walk leaves, of the per-coefficient `radical_member` calls
-    and of the class checks' `ideal_member` calls made by sprime."""
+    """Counts of `member`'s walk leaves, of its per-coefficient division
+    tests (`reduces_to_zero`, under the key radical_member) and of the
+    class checks' `ideal_member` calls made by sprime."""
     counts = {"leaves": 0, "radical_member": 0, "ideal_member": 0}
 
     def counted(name, real):
@@ -295,10 +297,10 @@ def walk_counts(monkeypatch):
             counts[name] += 1
             return real(*args)
         return call
-    monkeypatch.setattr(sprime._Jets, "coefficients",
-                        counted("leaves", sprime._Jets.coefficients))
-    for name in ("radical_member", "ideal_member"):
-        monkeypatch.setattr(sprime, name, counted(name, getattr(sprime, name)))
+    monkeypatch.setattr(sprime._Jets, "groups", counted("leaves", sprime._Jets.groups))
+    monkeypatch.setattr(sprime, "reduces_to_zero",
+                        counted("radical_member", sprime.reduces_to_zero))
+    monkeypatch.setattr(sprime, "ideal_member", counted("ideal_member", sprime.ideal_member))
     return counts
 
 
@@ -348,3 +350,63 @@ def test_member_walks_a_window_deeper_than_the_recursion_limit():
     p = make_sprime([INF], [1], [])
     f = parse(" + ".join("x%d" % i for i in range(1, 1201)))
     assert not member(f, p)
+
+
+def _leafwise_member(f, p):
+    """member's criterion over field coefficients: every coefficient of
+    every leaf of the walk lies in the radical of the saturated ideal."""
+    sat = sprime.saturated_ideal(p)
+    return all(radical_member(c, sat)
+               for _, coeffs in placement_jets(f, p.shape, part_classes(p))
+               for c in coeffs.values())
+
+
+@st.composite
+def leaf_cases(draw):
+    # circle22's basis leads with t1^2, and (inf);(1) with Z = t1^2 is not
+    # radical, so non-members there go through the Rabinowitsch fallback;
+    # the factors make members of several primes
+    key = draw(st.sampled_from(["diag1", "diag2", "allzero1", "allzero3", "free22",
+                                "line1", "circle22", "point", "fin11", "mixed21",
+                                "square"]))
+    n = draw(st.integers(1, 3))
+    monomial = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(
+        lambda exps: tuple((xvar(i + 1), k) for i, k in enumerate(exps) if k))
+    coefficient = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    f = Poly.from_terms(draw(st.lists(st.tuples(monomial, coefficient),
+                                      min_size=1, max_size=4)), QQ)
+    factor = draw(st.sampled_from(["1", "x1", "x1 - x2",
+                                   "(x1 - x2)^3*(x1^2 + x2^2 - 1)^2"]))
+    return key, f * parse(factor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(leaf_cases())
+def test_member_decides_each_leaf_as_radical_member_does(prime_pool, case):
+    key, f = case
+    assume(not f.is_zero())
+    pool = dict(prime_pool, square=make_sprime([INF], [1], [parse("t1^2")]))
+    assert member(f, pool[key]) == _leafwise_member(f, pool[key])
+
+
+@pytest.mark.parametrize("key", ["diag1", "free22", "circle22"])
+def test_member_refuses_a_nonzero_coefficient_over_another_field(prime_pool, key):
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        member(parse("x1", GF(5)), prime_pool[key])
+
+
+def test_member_over_gf_p_reduces_each_coefficient_first(prime_pool):
+    # x1 - x2 is x1 + 4*x2 in GF(5); on one part of weight 1 its only
+    # coefficient is 5*t1, which is 0 there, so no coefficient reaches the
+    # test and no field mismatch is raised
+    assert member(parse("x1 - x2", GF(5)), prime_pool["diag1"])
+
+
+def test_member_on_a_hand_built_prime_whose_ideal_omits_t1():
+    # SPrimeData built directly, not by make_sprime, may leave t1 out of
+    # the ideal's ambient; the leaves are packed over t1 all the same
+    p = SPrimeData(shape([INF], [2]), Ideal([]))
+    assert p.z_ideal.ambient == ()
+    assert not member(parse("x1"), p)
+    q = SPrimeData(shape([INF], [2]), Ideal([parse("t1^2")]))
+    assert member(parse("x1^2"), q) and not member(parse("x1"), q)
