@@ -4,7 +4,9 @@ Runs `symprime.cli.main` in this process on a fixed list of commands over
 the 18 primes of the acceptance pool (tests/test_acceptance.py), written as
 problem files to a temporary directory:
 
-- `contain` on all 324 ordered pairs;
+- `contain` on all 324 ordered pairs, and of two seven-part primes of
+  weight 1 (free, and Z = t1+...+t7-1) against themselves, which are not
+  in the pool since `gens` on them would dominate the sweep;
 - `gens` on every prime (fin31's takes the longest);
 - `theta` and `spectrum-slice` at fixed targets;
 - `member` with three polynomials at three `--max-reductions` values,
@@ -63,6 +65,11 @@ POOL = {
     "q3pts": (["inf", 1, 1], [1, 1, 1], ["t1", "t2-1", "t3-2"]),
 }
 
+# primes whose `contain` against itself meets 5040 good pairs; loading
+# sum7 saturates at the 7-point discriminant, the sweep's slowest step
+SEVEN = {"free7": (["inf"] * 7, [1] * 7, []),
+         "sum7": (["inf"] * 7, [1] * 7, ["+".join("t%d" % i for i in range(1, 8)) + "-1"])}
+
 # the failing pairs of acceptance criterion 5, with a point of q's locus
 WITNESS_PAIRS = (
     ("line0", "allzero3", None), ("line1", "allzero2", "0"),
@@ -109,6 +116,8 @@ def commands():
     for p in names:
         for q in names:
             yield ["contain", p, q]
+    for p in SEVEN:
+        yield ["contain", p, p]
     for p in names:
         yield ["gens", p]
         yield ["gens", p, "--max-reductions", "5"]
@@ -154,7 +163,7 @@ def main():
     exits, seconds, slowest = Counter(), defaultdict(float), {}
     with tempfile.TemporaryDirectory() as tmp:
         files = {name: json.dumps({"lambda": parts, "e": weights, "Z": z})
-                 for name, (parts, weights, z) in POOL.items()}
+                 for name, (parts, weights, z) in {**POOL, **SEVEN}.items()}
         files.update(BAD_FILES)
         for name, text in files.items():
             Path(tmp, name + ".json").write_text(text)

@@ -30,7 +30,8 @@ basis element is divided by its lc, and a remainder by its denominator
 and scale.  A reduced basis keeps its packed heads, and whether their
 leading monomials are all squarefree (`packed_basis`), so `ideal_member`,
 `radical_member` and `sprime.member` pack it once per order and degree
-bound, and `reduces_to_zero` divides packed ints by it.
+bound, and `reduces_to_zero` divides packed ints by it.  The caller names
+the variables it packs over; `packed_basis` picks the order from them.
 """
 
 from dataclasses import dataclass
@@ -356,20 +357,13 @@ def ideal_member(f, I, budget=None):
 
 def _divided(f, I, budget):
     """(f lies in I, every leading monomial of I's reduced basis is
-    squarefree), from one division of f by that basis.  Grevlex over the
-    wider set restricts to I's default order, so I's cached basis serves,
-    and so does its `packed_basis` entry.  The order is graded, so f of
-    degree above the budget leads with a term that the first division step
-    would refuse; it is refused before division, so the budget's layout
-    always holds f."""
+    squarefree), from one division of f by that basis, packed over f's
+    variables too.  The order is graded, so f of degree above the budget
+    leads with a term that the first division step would refuse; it is
+    refused before division, so the budget's layout always holds f."""
     if f.field.char != I.field.char:
         raise ValueError("mixed coefficient fields")
-    fvars = f.variables()
-    if fvars.issubset(I.ambient):
-        order = I.default_order()
-    else:
-        order = MonomialOrder.grevlex(fvars.union(I.ambient))
-    basis = packed_basis(I, order, budget)
+    basis = packed_basis(I, f.variables(), budget)
     layout, heads, squarefree = basis
     if not heads:
         return f.is_zero(), True
@@ -380,15 +374,17 @@ def _divided(f, I, budget):
                            budget), squarefree
 
 
-def packed_basis(I, order=None, budget=None):
+def packed_basis(I, variables=(), budget=None):
     """(layout, heads, squarefree) of I's reduced basis (default order),
-    packed in `order`, which must restrict to I's default order (grevlex
-    over a superset of I's ambient does).  The layout holds the degree
-    budget; the heads are normalized (lm, lc, other terms), none for the
-    zero ideal; squarefree tells whether every leading monomial is.  Cached
-    on the basis per (order, degree budget)."""
+    packed over I's ambient and `variables`: in I's default order when
+    they lie in the ambient, else in grevlex over the union, which
+    restricts to it.  The layout holds the degree budget; the heads are
+    normalized (lm, lc, other terms), none for the zero ideal; squarefree
+    tells whether every leading monomial is.  Cached on the basis per
+    (order, degree budget)."""
     budget = budget or DEFAULT_BUDGET
-    order = order or I.default_order()
+    extra = set(variables).difference(I.ambient)
+    order = MonomialOrder.grevlex(extra.union(I.ambient)) if extra else I.default_order()
     gb = groebner_basis(I, budget=budget)
     key = (order, budget.max_degree)
     entry = gb._heads.get(key)

@@ -15,9 +15,10 @@ once), large `Poly` products and the canonical print run on it, and so
 does the Groebner kernel.  The jet walk (`sprime._Jets`) keeps its own
 narrower keys (bit_length(deg f) bits per exponent, no order fields or
 guard bits): it adds keys and shifts exponents but never compares keys,
-and on a grevlex `PackedLayout` it ran about 30 % slower.  `sprime.member`
-moves each leaf's t-parts into the Groebner kernel's layout, through
-`PackedLayout.unit`, only to divide them.
+and on a grevlex `PackedLayout` it ran about 30 % slower.  Its one leaf
+readout moves the t-parts into a `PackedLayout` through
+`PackedLayout.unit`: the Groebner kernel's, for `sprime.member` to divide
+them, or grevlex over t1..tr, for `placement_jets` to unpack them.
 """
 
 from fractions import Fraction

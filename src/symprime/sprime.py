@@ -11,10 +11,12 @@ placements are walked as a tree, one variable per level: x_i -> t_alpha + e_i
 is substituted into the parent's expansion, so a shared prefix of placements
 is expanded once and terms cancel at the level where they meet.  The
 expansion runs on ints (f's coefficients over their common denominator, or
-unreduced residues mod p).  `member` never divides them back out: each
-leaf's t-parts move straight into the packed layout of the saturated
-ideal's reduced basis, and each coefficient is divided there as a multiple
-of itself.  Only `placement_jets` returns field coefficients.
+unreduced residues mod p).  A leaf is read out one way, `_Jets.groups`:
+its t-parts move into a packed layout over t1..tr, grouped by e-part.
+`member` reads them in the layout of the saturated ideal's reduced basis
+and divides each coefficient there as a multiple of itself, never dividing
+the ints back out; only its radical fallback and `placement_jets` (in
+grevlex over t1..tr) turn a group into field coefficients (`_Jets.poly`).
 Parts of equal size and weight whose exchange fixes the saturated
 configuration ideal give the same prime, so placements that such exchanges
 relate get the same verdict, and `member` walks one placement per orbit.
@@ -30,8 +32,8 @@ from .combinat import INF, WeightedShape, canonicalize, json_parts_weights
 from .groebner import (DEFAULT_BUDGET, BudgetExceededError, Ideal, ideal_member,
                        is_unit_ideal, packed_basis, radical_member, reduces_to_zero,
                        saturate)
-from .poly import (InputError, MonomialOrder, Poly, QQ, clear_denominators, discriminant,
-                   divide_out, evar, parse, tvar, xvar)
+from .poly import (InputError, MonomialOrder, PackedLayout, Poly, QQ, clear_denominators,
+                   discriminant, divide_out, evar, parse, tvar, xvar)
 
 
 @dataclass(frozen=True)
@@ -122,13 +124,13 @@ def _x_window(f):
     return tuple(sorted(xs)), degree
 
 
-def _decode(packed, width, var, indices):
-    """The monomial whose exponent of var(indices[k]) is bit field k of packed."""
+def _decode(packed, width, xs):
+    """The e-monomial whose exponent of e_xs[k] is bit field k of packed."""
     mask = (1 << width) - 1
     mono = []
-    for i in indices:
+    for i in xs:
         if packed & mask:
-            mono.append((var(i), packed & mask))
+            mono.append((evar(i), packed & mask))
         packed >>= width
     return tuple(mono)
 
@@ -149,13 +151,13 @@ class _Jets:
     part alpha in field alpha - 1), then one per window variable for its
     e-exponent, then one per window variable for the x-exponent still to be
     substituted.  No field exceeds deg f, so `width` bits hold it.  The
-    window is `_x_window(f)`.
+    window is `_x_window(f)`.  A leaf's t-parts are read out in `layout`,
+    a `PackedLayout` over t1..tr that holds deg f.
     """
 
-    def __init__(self, f, window, r):
+    def __init__(self, f, window, r, layout):
         self.field = f.field
         self.xs = xs = window[0]
-        self.parts = range(1, r + 1)
         self.deg = deg = max(window[1], 1)
         self.width = w = deg.bit_length()
         self.e_base = r * w
@@ -168,8 +170,8 @@ class _Jets:
             for v, k in mono:
                 key += k << shift[v]
             root[key] = c
-        self._t_monos = {}
-        self._e_monos = {}
+        self.layout = layout
+        self._units = [layout.unit(tvar(alpha)) for alpha in range(1, r + 1)]
         self._t_packed = {}
 
     def step(self, state, level, alpha, weight):
@@ -196,44 +198,13 @@ class _Jets:
             return {key: c for key, c in out.items() if c}
         return out
 
-    def coefficients(self, state):
-        """{e-monomial: t-polynomial} of a state with every variable placed:
-        the ints divided by `den` over QQ, reduced mod p over GF(p)."""
-        w, e_base = self.width, self.e_base
-        t_mask = (1 << e_base) - 1
-        t_monos, e_monos = self._t_monos, self._e_monos
-        char, den = self.field.char, self.den
-        if char or den != 1:
-            state = divide_out(state.items(), den, char)
-        out = {}
-        for key, c in state.items():
-            packed, e_packed = key & t_mask, key >> e_base
-            tm = t_monos.get(packed)
-            if tm is None:
-                tm = t_monos[packed] = _decode(packed, w, tvar, self.parts)
-            em = e_monos.get(e_packed)
-            if em is None:
-                em = e_monos[e_packed] = _decode(e_packed, w, evar, self.xs)
-            out.setdefault(em, {})[tm] = c
-        return {em: Poly(self.field, terms) for em, terms in out.items()}
-
-    def coefficient(self, state, e_part):
-        """The t-polynomial of one packed e-part of a state with every
-        variable placed, as `coefficients` gives it."""
-        e_base = self.e_base
-        (tpoly,) = self.coefficients(
-            {key: c for key, c in state.items() if key >> e_base == e_part}).values()
-        return tpoly
-
-    def groups(self, state, units):
+    def groups(self, state):
         """{packed e-part: {packed t-monomial: int}} of a state with every
-        variable placed, zeros dropped: the ints of `coefficients`, not
-        divided by `den`, and residues mod p reduced.  units[alpha - 1] is
-        t_alpha's unit in the packed layout to map into, one layout per
-        walk, since the map is memoized."""
+        variable placed, zeros dropped: the t-monomials in `layout`, the
+        ints not divided by `den`, and residues mod p reduced."""
         w, e_base = self.width, self.e_base
         t_mask, mask = (1 << e_base) - 1, (1 << w) - 1
-        memo, char = self._t_packed, self.field.char
+        memo, units, char = self._t_packed, self._units, self.field.char
         out = {}
         for key, c in state.items():
             if char:
@@ -253,6 +224,13 @@ class _Jets:
                 group = out[key >> e_base] = {}
             group[m] = c
         return out
+
+    def poly(self, group):
+        """The t-polynomial of one group of `groups`: its ints divided by
+        `den` over QQ, residues over GF(p)."""
+        unpack = self.layout.unpack
+        terms = divide_out(group.items(), self.den, self.field.char)
+        return Poly(self.field, {unpack(m): c for m, c in terms.items()})
 
 
 def part_classes(p, budget=None):
@@ -314,8 +292,12 @@ def placement_jets(f, shape, classes=()):
     of each orbit, the first in `assignments` order.  The parts of a class
     have the same size, so the picked placement keeps the capacities.
     """
-    jets = _Jets(f, _x_window(f), shape.r)
-    return ((dict(zip(jets.xs, path)), jets.coefficients(state))
+    window = _x_window(f)
+    ts = [tvar(alpha) for alpha in range(1, shape.r + 1)]
+    jets = _Jets(f, window, shape.r, PackedLayout(MonomialOrder.grevlex(ts), window[1]))
+    xs, w = jets.xs, jets.width
+    return ((dict(zip(xs, path)), {_decode(e_part, w, xs): jets.poly(group)
+                                   for e_part, group in jets.groups(state).items()})
             for path, state in _walk(jets, shape, classes))
 
 
@@ -386,30 +368,27 @@ def member(f, p, budget=None):
         return True
     xs, degree = window = _x_window(f)
     sat = saturated_ideal(p)
-    ts = [tvar(alpha) for alpha in range(1, p.shape.r + 1)]
-    # sat's ambient is t1..tr unless p was built by hand
-    order = None if set(ts).issubset(sat.ambient) else MonomialOrder.grevlex(
-        set(ts).union(sat.ambient))
-    basis = packed_basis(sat, order, budget)
+    r = p.shape.r
+    basis = packed_basis(sat, [tvar(alpha) for alpha in range(1, r + 1)], budget)
     layout, heads, squarefree = basis
     if heads and not heads[0][0]:  # a constant head: the basis is (1)
         return True
-    count = p.shape.r ** len(xs)
+    count = r ** len(xs)
     if count > budget.max_reductions:
         raise BudgetExceededError("placement space of size %d exceeds budget" % count)
     if degree > budget.max_degree:  # before the walk builds deg f + 1 binomial rows
         raise BudgetExceededError("degree %d exceeds budget" % degree)
     classes = part_classes(p, budget)
-    jets = _Jets(f, window, p.shape.r)
-    units = [layout.unit(t) for t in ts]
+    jets = _Jets(f, window, r, layout)
     char = f.field.char
     for _path, state in _walk(jets, p.shape, classes):
-        for e_part, work in jets.groups(state, units).items():
+        for work in jets.groups(state).values():
             if char != sat.field.char:
                 raise ValueError("mixed coefficient fields")
-            if not reduces_to_zero(work, basis, char, budget) and (
-                    squarefree
-                    or not radical_member(jets.coefficient(state, e_part), sat, budget)):
+            # the division consumes its dict; the fallback reads work
+            divided = work if squarefree else dict(work)
+            if not reduces_to_zero(divided, basis, char, budget) and (
+                    squarefree or not radical_member(jets.poly(work), sat, budget)):
                 return False
     return True
 

@@ -63,6 +63,8 @@ def theta_pair(p, target, gp, budget=None):
 @lru_cache(maxsize=None)
 def theta(p, target, budget=None):
     """Intersection over all good pairs; the unit ideal when none exist.
+    Each distinct component ideal is intersected once, and `components`
+    keeps one entry per good pair.
 
     Memoized by value, unbounded, like `sprime._saturated`: the prime data,
     the target shape and the budget are frozen and hash by value, so an
@@ -76,8 +78,8 @@ def theta(p, target, budget=None):
         unit = Ideal((Poly.const(1, QQ),), ambient=ambient)
         return ThetaResult(unit, ())
     components = tuple((gp, theta_pair(p, target, gp, budget)) for gp in gps)
-    total = components[0][1]
-    for _, comp in components[1:]:
+    total, *rest = dict.fromkeys(comp for _, comp in components)
+    for comp in rest:
         total = ideal_intersect(total, comp, budget)
     total = groebner_basis(total, budget=budget)
     return ThetaResult(total, components)

@@ -9,8 +9,8 @@ from symprime.contractlab import contract_ideal
 from symprime.groebner import (DEFAULT_BUDGET, Budget, BudgetExceededError,
                                Ideal, MonomialOrder, eliminate, groebner_basis,
                                ideal_contains, ideal_equal, ideal_intersect,
-                               ideal_member, is_unit_ideal, normal_form, radical_member,
-                               saturate, spoly)
+                               ideal_member, is_unit_ideal, normal_form, packed_basis,
+                               radical_member, reduces_to_zero, saturate, spoly)
 from symprime.poly import (GF, PackedLayout, Poly, QQ, Rationals, evar, mono_degree,
                            mono_div, mono_divides, parse, tvar, xvar, zvar)
 
@@ -417,6 +417,30 @@ def test_ideal_contains_packs_the_basis_once(monkeypatch):
         assert not ideal_member(parse("t3"), I)
         assert ideal_member(J.gens[0], I, Budget(max_degree=200))
     assert len(packed) == 2 * len(gb.gens) + 4
+
+
+def test_packed_basis_picks_its_order_from_the_variables():
+    # variables inside I's ambient share the entry of I's default order; a
+    # wider set packs in grevlex over the union, which restricts to it, so
+    # a polynomial in a new variable is still divided by I's basis
+    I = Ideal([parse("t1^2 - t2")])
+    entry = packed_basis(I)
+    assert packed_basis(I, [tvar(1)]) is entry
+    assert packed_basis(I, I.ambient) is entry
+    basis = packed_basis(I, [xvar(1), tvar(2)])
+    assert basis is not entry and packed_basis(I, {xvar(1)}) is basis
+    layout, heads, squarefree = basis
+    assert [layout.unpack(lm) for lm, _, _ in heads] == [((tvar(1), 2),)]
+    assert not squarefree
+    wide = MonomialOrder.grevlex([xvar(1), tvar(1), tvar(2)])
+    monos = [((xvar(1), 1),), ((tvar(1), 2),), ((tvar(1), 1), (tvar(2), 1)),
+             ((xvar(1), 1), (tvar(2), 1)), ((xvar(1), 2),), ((tvar(2), 2),)]
+    packed = {m: layout.pack({m: 1})[0][0][0] for m in monos}
+    assert sorted(monos, key=packed.get) == sorted(monos, key=wide.key)
+    for text, want in (("x1*(t1^2 - t2)", True), ("x1*t1", False)):
+        terms = dict(layout.pack(parse(text).terms)[0])
+        assert reduces_to_zero(terms, basis, 0, DEFAULT_BUDGET) is want
+        assert ideal_member(parse(text), I) is want
 
 
 def test_buchberger_reuses_the_heads_it_holds(leading_calls, monkeypatch):

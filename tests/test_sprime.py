@@ -402,6 +402,16 @@ def test_member_over_gf_p_reduces_each_coefficient_first(prime_pool):
     assert member(parse("x1 - x2", GF(5)), prime_pool["diag1"])
 
 
+def test_member_fallback_reads_the_whole_coefficient():
+    # Z = t1^2 has a basis whose head t1^2 is not squarefree; x1's one
+    # coefficient t1 has a nonzero remainder but lies in the radical, and
+    # x1 - 1's coefficient t1 - 1 does not, although the division that
+    # runs first empties the dict it was handed
+    p = make_sprime([INF], [1], [parse("t1^2")])
+    assert member(parse("x1"), p)
+    assert not member(parse("x1 - 1"), p)
+
+
 def test_member_on_a_hand_built_prime_whose_ideal_omits_t1():
     # SPrimeData built directly, not by make_sprime, may leave t1 out of
     # the ideal's ambient; the leaves are packed over t1 all the same

@@ -1,5 +1,6 @@
 """Degeneration closures and the containment oracle."""
 
+import importlib
 import itertools
 import warnings
 
@@ -58,13 +59,36 @@ def test_theta_of_a_reloaded_prime_is_served_by_the_memo(buchberger_calls):
 
 def test_theta_memo_is_keyed_by_the_budget():
     # the two components' intersection needs more than one division step
-    p = make_sprime([INF, INF], [1, 1], [parse("t1+t2-1")])
+    p = make_sprime([INF, INF], [1, 1], [parse("t1+2*t2-1")])
     target = shape([INF, INF], [1, 1])
     assert theta(p, target).ideal.gens
     assert theta(p, target, Budget(max_reductions=2_000_000)).ideal.gens
     for _ in range(2):  # an exhausted budget is not remembered either
         with pytest.raises(BudgetExceededError):
             theta(p, target, Budget(max_reductions=1))
+
+
+def test_theta_intersects_each_distinct_component_once(monkeypatch):
+    # 12 good pairs of three parts into two share 4 component ideals
+    p = make_sprime([INF, INF, INF], [1, 1, 1], [parse("t1+t2-1")])
+    target = shape([INF, INF], [1, 1])
+    # the package exports the function theta under the module's name
+    theta_module = importlib.import_module("symprime.theta")
+    calls = []
+    real = theta_module.ideal_intersect
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(theta_module, "ideal_intersect", counted)
+    th = theta.__wrapped__(p, target)
+    distinct = set(comp for _, comp in th.components)
+    assert len(th.components) == 12 and len(distinct) == 4
+    assert len(calls) == len(distinct) - 1
+    total = th.components[0][1]
+    for _, comp in th.components[1:]:
+        total = real(total, comp)
+    assert ideal_equal(th.ideal, total)
 
 
 def test_theta_examples():
