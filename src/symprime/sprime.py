@@ -20,6 +20,15 @@ grevlex over t1..tr) turn a group into field coefficients (`_Jets.poly`).
 Parts of equal size and weight whose exchange fixes the saturated
 configuration ideal give the same prime, so placements that such exchanges
 relate get the same verdict, and `member` walks one placement per orbit.
+f may be symmetric as well: when exchanging two adjacent window variables
+maps f to f or to -f (`_Jets.ties`), placements that differ by that
+exchange have the same jets up to renaming the e-variables and a sign, so
+the same verdict, and `member` walks only placements whose parts do not
+decrease along each run of such tied variables.  The first placement of an
+orbit under both groups in `assignments` order meets both rules, so every
+orbit keeps a placement (lex-leader symmetry breaking: Crawford, Ginsberg,
+Luks and Roy, KR 1996).  `placement_jets` still yields one placement per
+orbit of the part symmetries alone.
 """
 
 import itertools
@@ -32,8 +41,8 @@ from .combinat import INF, WeightedShape, canonicalize, json_parts_weights
 from .groebner import (DEFAULT_BUDGET, BudgetExceededError, Ideal, ideal_member,
                        is_unit_ideal, packed_basis, radical_member, reduces_to_zero,
                        saturate)
-from .poly import (InputError, MonomialOrder, PackedLayout, Poly, QQ, clear_denominators,
-                   discriminant, divide_out, evar, parse, tvar, xvar)
+from .poly import (InputError, MonomialOrder, PackedLayout, Poly, QQ, discriminant,
+                   divide_out, evar, parse, tvar)
 
 
 @dataclass(frozen=True)
@@ -109,10 +118,11 @@ def assignments(indices, shape):
 
 
 def _x_window(f):
-    """(xs, deg f): the sorted indices of f's variables, which must all be
-    x-variables, and f's total degree, from one pass over its terms."""
-    xs, degree = set(), 0
-    for m in f.terms:
+    """(xs, deg f, den): the sorted indices of f's variables, which must all
+    be x-variables, f's total degree, and the lcm of its coefficients'
+    denominators (1 over GF(p)), from one pass over its terms."""
+    xs, degree, den = set(), 0, 1
+    for m, c in f.terms.items():
         d = 0
         for (family, i), k in m:
             if family != "x":
@@ -121,7 +131,9 @@ def _x_window(f):
             d += k
         if d > degree:
             degree = d
-    return tuple(sorted(xs)), degree
+        if c.denominator != 1:
+            den = math.lcm(den, c.denominator)
+    return tuple(sorted(xs)), degree, den
 
 
 def _decode(packed, width, xs):
@@ -135,11 +147,52 @@ def _decode(packed, width, xs):
     return tuple(mono)
 
 
+class _Moves(dict):
+    """The step x_xs[level] -> t_alpha + e, e^weight truncated, on `_Jets`
+    keys of width w: moves[k], built on first use, holds for x-exponent k
+    the pairs (key offset, C(k, j)), j < weight, j <= k, the offset taking
+    the key's x^k to t_alpha^(k-j) * e^j.  A term's k is its field at
+    `x_shift` under `mask`."""
+
+    __slots__ = ("x_shift", "mask", "_unit", "_e_step", "_weight")
+
+    def __init__(self, w, x_shift, t_shift, e_shift, weight):
+        super().__init__()
+        self.x_shift, self.mask, self._weight = x_shift, (1 << w) - 1, weight
+        self._unit = (1 << t_shift) - (1 << x_shift)    # x^1 -> t_alpha^1
+        self._e_step = (1 << e_shift) - (1 << t_shift)  # t_alpha^1 -> e^1
+
+    def __missing__(self, k):
+        base, step = k * self._unit, self._e_step
+        out = self[k] = tuple((base + j * step, math.comb(k, j))
+                              for j in range(min(k + 1, self._weight)))
+        return out
+
+
+@lru_cache(maxsize=4096)
+def _moves(w, r, n, level, alpha, weight):
+    """The `_Moves` of level and alpha for keys of width w over r parts and
+    n window variables, shared by every f of that layout."""
+    return _Moves(w, (r + n + level) * w, (alpha - 1) * w, (r + level) * w, weight)
+
+
+def _swapped_into(root, image, lo, w):
+    """True iff exchanging the w-bit fields at bits lo and lo + w of every
+    key of root gives a key that image maps to the key's coefficient."""
+    mask = (1 << w) - 1
+    hi = lo + w
+    move = (1 << lo) - (1 << hi)  # times b - a: field lo gains b - a, field hi a - b
+    get = image.get
+    for key, c in root.items():
+        if get(key + ((key >> hi & mask) - (key >> lo & mask)) * move) != c:
+            return False
+    return True
+
+
 @lru_cache(maxsize=256)
-def _binomial_rows(weight, deg):
-    """rows[k] = (C(k, 1), ..., C(k, j)) for j < weight, 0 <= k <= deg."""
-    return tuple(tuple(math.comb(k, j) for j in range(1, min(k + 1, weight)))
-                 for k in range(deg + 1))
+def _t_units(layout, r):
+    """The packed units of t1..tr in layout."""
+    return tuple(layout.unit(tvar(alpha)) for alpha in range(1, r + 1))
 
 
 class _Jets:
@@ -151,48 +204,65 @@ class _Jets:
     part alpha in field alpha - 1), then one per window variable for its
     e-exponent, then one per window variable for the x-exponent still to be
     substituted.  No field exceeds deg f, so `width` bits hold it.  The
-    window is `_x_window(f)`.  A leaf's t-parts are read out in `layout`,
-    a `PackedLayout` over t1..tr that holds deg f.
+    window is `_x_window(f)`.  A step moves each term that holds its
+    level's variable by the offsets of a `_moves` table, shared by every f
+    of the same key layout, and copies the others.  A leaf's t-parts are
+    read out in `layout`, a `PackedLayout` over t1..tr that holds deg f.
     """
 
     def __init__(self, f, window, r, layout):
         self.field = f.field
-        self.xs = xs = window[0]
-        self.deg = deg = max(window[1], 1)
-        self.width = w = deg.bit_length()
+        self.xs, degree, self.den = window
+        den = self.den
+        self.width = w = max(degree, 1).bit_length()
         self.e_base = r * w
-        self.x_base = (r + len(xs)) * w
-        shift = {xvar(i): self.x_base + w * ell for ell, i in enumerate(xs)}
-        terms, self.den = clear_denominators(f.terms.items())
+        self.x_base = (r + len(self.xs)) * w
+        self._dims = (w, r, len(self.xs))
+        shift = {i: self.x_base + w * ell for ell, i in enumerate(self.xs)}
         self.root = root = {}
-        for mono, c in terms:
+        for mono, c in f.terms.items():
             key = 0
-            for v, k in mono:
-                key += k << shift[v]
-            root[key] = c
+            for (_, i), k in mono:
+                key += k << shift[i]
+            root[key] = c if den == 1 else c.numerator * (den // c.denominator)
         self.layout = layout
-        self._units = [layout.unit(tvar(alpha)) for alpha in range(1, r + 1)]
+        self._units = _t_units(layout, r)
         self._t_packed = {}
+
+    def ties(self):
+        """The window levels l >= 1 whose variable is tied to level l - 1's:
+        exchanging the two x-fields in every key of the root maps f to f or
+        to -f, one sign for all of f."""
+        root, char, w = self.root, self.field.char, self.width
+        negated = None
+        out = []
+        for level in range(1, len(self.xs)):
+            lo = self.x_base + w * (level - 1)
+            if _swapped_into(root, root, lo, w):
+                out.append(level)
+                continue
+            if negated is None:
+                negated = {key: -c % char if char else -c for key, c in root.items()}
+            if _swapped_into(root, negated, lo, w):
+                out.append(level)
+        return tuple(out)
 
     def step(self, state, level, alpha, weight):
         """State after substituting x_xs[level] -> t_alpha + e, truncated at
         e^weight.  Terms that meet are summed, and cancel, here."""
-        rows = _binomial_rows(weight, self.deg)
-        w = self.width
-        x_shift = self.x_base + w * level
-        t_one = 1 << (w * (alpha - 1))
-        shift = (1 << (self.e_base + w * level)) - t_one
-        mask = (1 << w) - 1
+        moves = _moves(*self._dims, level, alpha, weight)
+        x_shift, mask = moves.x_shift, moves.mask
         out = {}
         get = out.get
         for key, c in state.items():
-            k = (key >> x_shift) & mask
-            # x^k contributes C(k,j) * t_alpha^(k-j) * e^j for each j < weight
-            key += k * t_one - (k << x_shift)
-            out[key] = get(key, 0) + c
-            for b in rows[k]:
-                key += shift
-                out[key] = get(key, 0) + b * c
+            k = key >> x_shift & mask
+            if k:
+                # x^k contributes C(k,j) * t_alpha^(k-j) * e^j for each j < weight
+                for move, b in moves[k]:
+                    image = key + move
+                    out[image] = get(image, 0) + b * c
+            else:
+                out[key] = get(key, 0) + c
         # terms that cancelled are dropped; most steps have none
         if 0 in out.values():
             return {key: c for key, c in out.items() if c}
@@ -291,6 +361,7 @@ def placement_jets(f, shape, classes=()):
     are then used in order of first use, which picks exactly one placement
     of each orbit, the first in `assignments` order.  The parts of a class
     have the same size, so the picked placement keeps the capacities.
+    The walk here ignores f's own symmetry, which only `member` uses.
     """
     window = _x_window(f)
     ts = [tvar(alpha) for alpha in range(1, shape.r + 1)]
@@ -301,9 +372,10 @@ def placement_jets(f, shape, classes=()):
             for path, state in _walk(jets, shape, classes))
 
 
-def _walk(jets, shape, classes):
+def _walk(jets, shape, classes, ties=()):
     """(path, state) at each leaf of the `placement_jets` walk of jets,
-    path holding the part of each window variable."""
+    path holding the part of each window variable.  A level of `ties`
+    (`_Jets.ties`) starts its parts at the part of the level before it."""
     r, weights = shape.r, shape.weights
     xs = jets.xs
     caps = [p if p != INF else len(xs) for p in shape.parts]
@@ -311,6 +383,9 @@ def _walk(jets, shape, classes):
     for cls in classes:
         for b, a in zip(cls, cls[1:]):
             before[a - 1] = b - 1
+    tied = [False] * (len(xs) + 1)
+    for level in ties:
+        tied[level] = True
     used = [0] * r
     path = []             # the part placed at each level so far
     states = [jets.root]  # states[l]: the state with l variables placed
@@ -328,7 +403,7 @@ def _walk(jets, shape, classes):
             used[a] += 1
             path.append(a + 1)
             states.append(jets.step(states[level], level, a + 1, weights[a]))
-            nexts.append(0)
+            nexts.append(a if tied[level + 1] else 0)
         elif path:
             used[path.pop() - 1] -= 1
             states.pop()
@@ -351,8 +426,21 @@ def member(f, p, budget=None):
     inverse.  The walk of `placement_jets` therefore visits one placement
     per orbit of the group the classes generate (the first in
     `assignments` order, where a class's parts are used in order), and the
-    first coefficient that does not vanish ends it.  The `r ** len(xs)`
-    budget guard still counts every placement.
+    first coefficient that does not vanish ends it.
+
+    When r > 1 the walk also prunes by f's own symmetry.  If exchanging
+    the window variables of levels l - 1 and l (an exchange sigma) maps f to
+    +f or -f, one sign for all of f (`_Jets.ties`), then the jets of f at
+    a placement a composed with sigma are those of sigma(f) = +-f at a,
+    with e-variables renamed; so each coefficient is +- one of the other's,
+    and the verdicts agree.  A tied level starts its parts at the part of
+    the level before it, so parts never decrease along a run of tied
+    levels; the parts of classes still follow restricted growth.  Both
+    groups act on placements together, and the first placement of an orbit
+    in `assignments` order satisfies both rules, since either group alone
+    could otherwise move it to an earlier one; every orbit is thus walked
+    at least once.  The `r ** len(xs)` budget guard still counts every
+    placement.
 
     A leaf's coefficients are never divided back to field coefficients.
     The walk's ints are each coefficient times one nonzero constant (`den`)
@@ -366,7 +454,7 @@ def member(f, p, budget=None):
     budget = budget or DEFAULT_BUDGET
     if f.is_zero():
         return True
-    xs, degree = window = _x_window(f)
+    xs, degree, _ = window = _x_window(f)
     sat = saturated_ideal(p)
     r = p.shape.r
     basis = packed_basis(sat, [tvar(alpha) for alpha in range(1, r + 1)], budget)
@@ -381,7 +469,7 @@ def member(f, p, budget=None):
     classes = part_classes(p, budget)
     jets = _Jets(f, window, r, layout)
     char = f.field.char
-    for _path, state in _walk(jets, p.shape, classes):
+    for _path, state in _walk(jets, p.shape, classes, jets.ties() if r > 1 else ()):
         for work in jets.groups(state).values():
             if char != sat.field.char:
                 raise ValueError("mixed coefficient fields")

@@ -63,7 +63,8 @@ def theta_pair(p, target, gp, budget=None):
 @lru_cache(maxsize=None)
 def theta(p, target, budget=None):
     """Intersection over all good pairs; the unit ideal when none exist.
-    Each distinct component ideal is intersected once, and `components`
+    Each distinct component ideal is intersected once, none when one of
+    them is the zero ideal, which is then the intersection; `components`
     keeps one entry per good pair.
 
     Memoized by value, unbounded, like `sprime._saturated`: the prime data,
@@ -78,7 +79,10 @@ def theta(p, target, budget=None):
         unit = Ideal((Poly.const(1, QQ),), ambient=ambient)
         return ThetaResult(unit, ())
     components = tuple((gp, theta_pair(p, target, gp, budget)) for gp in gps)
-    total, *rest = dict.fromkeys(comp for _, comp in components)
+    distinct = dict.fromkeys(comp for _, comp in components)
+    # the zero ideal's intersection with any ideal is the zero ideal
+    zero = [comp for comp in distinct if not comp.gens]
+    total, *rest = zero or distinct
     for comp in rest:
         total = ideal_intersect(total, comp, budget)
     total = groebner_basis(total, budget=budget)

@@ -1,5 +1,6 @@
 """Prime data construction and the membership oracle."""
 
+import itertools
 import math
 import random
 import warnings
@@ -11,7 +12,8 @@ from symprime import sprime
 from symprime.combinat import INF, shape
 from symprime.generators import full_gens
 from symprime.groebner import Budget, BudgetExceededError, Ideal, radical_member
-from symprime.poly import GF, InputError, Poly, QQ, parse, xvar
+from symprime.poly import (GF, InputError, MonomialOrder, PackedLayout, Poly, QQ, parse,
+                           tvar, xvar)
 from symprime.sprime import (SPrimeData, assignments, make_sprime, member,
                              placement_jets,
                              member_via_derivatives, part_classes, radical_of)
@@ -310,11 +312,14 @@ def test_circle_walks_one_placement_per_orbit(walk_counts):
     assert len(gens) == 8
     assert all(member(g, p) for g in gens)
     # every placement would be 108 leaves with 118 coefficients, each one
-    # radical_member call; the orbits' 54 leaves hold 59, and the one
-    # ideal_member call is the class check, made once for the prime
-    assert walk_counts == {"leaves": 54, "radical_member": 59, "ideal_member": 1}
+    # radical_member call, and the orbits of the part swap alone 54 leaves
+    # with 59; six of the eight generators are also +-symmetric in some
+    # adjacent pair of window variables, and the orbits of both symmetries
+    # have 37 leaves holding 44.  The one ideal_member call is the class
+    # check, made once for the prime
+    assert walk_counts == {"leaves": 37, "radical_member": 44, "ideal_member": 1}
     assert all(member(g, p) for g in gens)
-    assert walk_counts == {"leaves": 108, "radical_member": 118, "ideal_member": 1}
+    assert walk_counts == {"leaves": 74, "radical_member": 88, "ideal_member": 1}
 
 
 @pytest.mark.parametrize("gens", [[], ["t1^2 - 2"]])
@@ -329,8 +334,9 @@ def test_one_part_prime_is_its_own_saturation(gens):
 def test_asymmetric_locus_walks_every_placement(walk_counts):
     p = make_sprime([INF, INF], [2, 2], [parse("t2 - t1^2")])
     # each of the last two factors vanishes on the locus under one of the
-    # off-diagonal placements; cubed, so do its jets of e-degree up to 2
-    f = parse("(x1 - x2)^3*(x2 - x1^2)^3*(x1 - x2^2)^3")
+    # off-diagonal placements; cubed, so do its jets of e-degree up to 2.
+    # Without the factor x1, swapping x1 and x2 would map f to -f
+    f = parse("x1*(x1 - x2)^3*(x2 - x1^2)^3*(x1 - x2^2)^3")
     assert part_classes(p) == ((1,), (2,))
     assert member(f, p) and member_via_derivatives(f, p)
     assert walk_counts["leaves"] == len(list(assignments((1, 2), p.shape))) == 4
@@ -352,12 +358,13 @@ def test_member_walks_a_window_deeper_than_the_recursion_limit():
     assert not member(f, p)
 
 
-def _leafwise_member(f, p):
+def _leafwise_member(f, p, classes):
     """member's criterion over field coefficients: every coefficient of
-    every leaf of the walk lies in the radical of the saturated ideal."""
+    every leaf of the walk by `classes`, with no ties, lies in the radical
+    of the saturated ideal."""
     sat = sprime.saturated_ideal(p)
     return all(radical_member(c, sat)
-               for _, coeffs in placement_jets(f, p.shape, part_classes(p))
+               for _, coeffs in placement_jets(f, p.shape, classes)
                for c in coeffs.values())
 
 
@@ -386,7 +393,7 @@ def test_member_decides_each_leaf_as_radical_member_does(prime_pool, case):
     key, f = case
     assume(not f.is_zero())
     pool = dict(prime_pool, square=make_sprime([INF], [1], [parse("t1^2")]))
-    assert member(f, pool[key]) == _leafwise_member(f, pool[key])
+    assert member(f, pool[key]) == _leafwise_member(f, pool[key], part_classes(pool[key]))
 
 
 @pytest.mark.parametrize("key", ["diag1", "free22", "circle22"])
@@ -420,3 +427,165 @@ def test_member_on_a_hand_built_prime_whose_ideal_omits_t1():
     assert not member(parse("x1"), p)
     q = SPrimeData(shape([INF], [2]), Ideal([parse("t1^2")]))
     assert member(parse("x1^2"), q) and not member(parse("x1"), q)
+
+
+# The acceptance pool of tests/test_acceptance.py: finite parts, mixed
+# weights, points, lines, conics and three parts.
+ACCEPTANCE_POOL = {
+    "diag1": ([INF], [1], []), "diag2": ([INF], [2], []),
+    "allzero1": ([INF], [1], ["t1"]), "allzero2": ([INF], [2], ["t1"]),
+    "allzero3": ([INF], [3], ["t1"]), "allzero5": ([INF], [5], ["t1"]),
+    "one2": ([INF], [2], ["t1-1"]),
+    "free11": ([INF, INF], [1, 1], []), "free22": ([INF, INF], [2, 2], []),
+    "mixed21": ([INF, INF], [2, 1], []),
+    "line0": ([INF, INF], [1, 1], ["t1+t2"]), "line1": ([INF, INF], [1, 1], ["t1+t2-1"]),
+    "circle22": ([INF, INF], [2, 2], ["t1^2+t2^2-1"]),
+    "circle11": ([INF, INF], [1, 1], ["t1^2+t2^2-1"]),
+    "point": ([INF, INF], [1, 1], ["t1-1", "t2+1"]),
+    "fin31": ([INF, 1], [3, 1], ["t1"]),
+    "p3": ([INF, INF, INF], [1, 1, 1], []),
+    "q3pts": ([INF, 1, 1], [1, 1, 1], ["t1", "t2-1", "t3-2"]),
+}
+
+
+@pytest.fixture(scope="module")
+def acceptance_pool():
+    return {key: make_sprime(parts, weights, [parse(s) for s in z])
+            for key, (parts, weights, z) in ACCEPTANCE_POOL.items()}
+
+
+def _jets(f, sh):
+    """The `_Jets` of f over sh's parts, read out in grevlex over t1..tr."""
+    window = sprime._x_window(f)
+    order = MonomialOrder.grevlex([tvar(alpha) for alpha in range(1, sh.r + 1)])
+    return sprime._Jets(f, window, sh.r, PackedLayout(order, window[1]))
+
+
+@pytest.mark.parametrize("text,ties", [
+    ("x1 + x2", (1,)),
+    ("x1 - x2", (1,)),
+    ("x1 + 2*x2", ()),
+    ("x1*x2 + x3", (1,)),
+    ("(x1 - x2)*(x1 - x3)*(x2 - x3)", (1, 2)),
+    ("(x1 - x2)*(x1 - x3)*(x2 - x3)*(x1 + x2 + x3 - 1)", (1, 2)),
+    # x1 and x3 are exchangeable, but not adjacent in the window
+    ("x1 + x2^2 + x3", ()),
+    # one half of f keeps its sign under the swap and the other flips it
+    ("x1^2 - x2^2 + x1 + x2", ()),
+    ("1/2*x1 - 1/2*x2 + x1^2*x2^2", ()),
+    ("1/2*x1*x4 + 1/2*x1*x7", (2,)),
+])
+def test_jets_find_the_signed_swaps_of_adjacent_window_variables(text, ties):
+    assert _jets(parse(text), shape([INF, INF], [1, 1])).ties() == ties
+
+
+def test_jets_find_signed_swaps_over_gf_p():
+    # x1 - x2 is x1 + 4*x2 in GF(5): the swap multiplies it by 4 = -1
+    assert _jets(parse("x1 - x2", GF(5)), shape([INF, INF], [1, 1])).ties() == (1,)
+    assert _jets(parse("x1 + 2*x2", GF(5)), shape([INF, INF], [1, 1])).ties() == ()
+    # in GF(2), -f is f
+    assert _jets(parse("x1 + x2", GF(2)), shape([INF, INF], [1, 1])).ties() == (1,)
+
+
+@pytest.mark.parametrize("key", ["free22", "circle22"])
+def test_member_with_ties_refuses_a_coefficient_over_another_field(prime_pool, key):
+    f = parse("(x1 - x2)^3", GF(5))
+    assert _jets(f, prime_pool[key].shape).ties() == (1,)
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        member(f, prime_pool[key])
+
+
+def test_vandermonde_walks_one_placement_per_orbit_of_both_symmetries(walk_counts,
+                                                                      prime_pool):
+    # (x1 - x2)(x1 - x3)(x2 - x3) changes sign under every swap, and
+    # (inf,inf;1,1) free exchanges its parts: of the 8 placements, the
+    # nondecreasing ones that open part 1 first are 111, 112 and 122; the
+    # part swap alone leaves 4
+    p = prime_pool["free11"]
+    f = parse("(x1 - x2)*(x1 - x3)*(x2 - x3)")
+    assert part_classes(p) == ((1, 2),)
+    assert member(f, p) and member_via_derivatives(f, p)
+    assert walk_counts["leaves"] == 3
+    assert [path for path, _ in sprime._walk(_jets(f, p.shape), p.shape, ((1, 2),))] == [
+        (1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)]
+
+
+def _orbit_leaders_met(xs, sh, classes, ties, walked):
+    """True iff every placement of assignments(xs, sh) has one of `walked`
+    (paths) in its orbit under the group permuting each class of parts and
+    the levels of each run of tied window levels, by brute force."""
+    parts = [{}]
+    for cls in classes:
+        parts = [{**g, **dict(zip(cls, image))}
+                 for g in parts for image in itertools.permutations(cls)]
+    runs, run = [], [0]
+    for level in range(1, len(xs)):
+        if level in ties:
+            run.append(level)
+        else:
+            runs.append(run)
+            run = [level]
+    runs.append(run)
+    levels = [[]]
+    for run in runs:
+        levels = [order + list(image) for order in levels
+                  for image in itertools.permutations(run)]
+    walked = set(walked)
+    for assign in assignments(xs, sh):
+        row = [assign[i] for i in xs]
+        if not any(tuple(g.get(row[l], row[l]) for l in order) in walked
+                   for g in parts for order in levels):
+            return False
+    return True
+
+
+@st.composite
+def signed_symmetric_polynomials(draw, n_max=3):
+    """Products of elementary symmetric factors (shifted by constants) and
+    differences: symmetric, antisymmetric, symmetric in x1, x2 only, or
+    with no signed swap, in x1..xn."""
+    n = draw(st.integers(2, n_max))
+    xs = ["x%d" % i for i in range(1, n + 1)]
+    elementary = [" + ".join("*".join(c) for c in itertools.combinations(xs, k))
+                  for k in range(1, n + 1)]
+    vandermonde = "*".join("(%s - %s)" % pair for pair in itertools.combinations(xs, 2))
+    kind = draw(st.sampled_from(["symmetric", "antisymmetric", "partial", "asymmetric"]))
+    factors = ["(%s + (%d))" % (draw(st.sampled_from(elementary)), draw(st.integers(-2, 2)))
+               for _ in range(draw(st.integers(0, 2)))]
+    if kind == "antisymmetric":
+        factors.append("(%s)^%d" % (vandermonde, draw(st.sampled_from([1, 3]))))
+    elif kind == "partial":
+        factors.append(draw(st.sampled_from(["(x1 - x2)", "(x1 + x2 - x%d)" % n,
+                                             "(x1 - x2)^2*x%d" % n])))
+    elif kind == "asymmetric":
+        factors.append(draw(st.sampled_from(["x1", "(x1 + 2*x2)", "(x1 - x2 + x1^2)"])))
+    if draw(st.booleans()):
+        factors.append("(%s)^%d" % (vandermonde, draw(st.integers(1, 2))))
+    return parse("*".join(factors) or "x1 + x2")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(ACCEPTANCE_POOL)), signed_symmetric_polynomials())
+def test_member_with_ties_agrees_with_the_plain_walk_and_the_derivatives(
+        acceptance_pool, key, f):
+    p = acceptance_pool[key]
+    assume(not f.is_zero())
+    verdict = member(f, p)
+    assert verdict == _leafwise_member(f, p, ())
+    if _derivatives(f, p) <= 100:
+        assert verdict == member_via_derivatives(f, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(ACCEPTANCE_POOL)), signed_symmetric_polynomials(n_max=4))
+def test_tied_walk_meets_every_orbit_of_both_symmetries(acceptance_pool, key, f):
+    p = acceptance_pool[key]
+    assume(not f.is_zero())
+    classes = part_classes(p)
+    jets = _jets(f, p.shape)
+    ties = jets.ties()
+    walked = [path for path, _ in sprime._walk(jets, p.shape, classes, ties)]
+    plain = [path for path, _ in sprime._walk(jets, p.shape, classes)]
+    # the tied walk keeps some leaves of the walk by classes, in its order
+    assert walked == [path for path in plain if path in set(walked)]
+    assert _orbit_leaders_met(jets.xs, p.shape, classes, ties, walked)

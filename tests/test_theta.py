@@ -69,8 +69,6 @@ def test_theta_memo_is_keyed_by_the_budget():
 
 
 def test_theta_intersects_each_distinct_component_once(monkeypatch):
-    # 12 good pairs of three parts into two share 4 component ideals
-    p = make_sprime([INF, INF, INF], [1, 1, 1], [parse("t1+t2-1")])
     target = shape([INF, INF], [1, 1])
     # the package exports the function theta under the module's name
     theta_module = importlib.import_module("symprime.theta")
@@ -81,14 +79,23 @@ def test_theta_intersects_each_distinct_component_once(monkeypatch):
         calls.append(args)
         return real(*args)
     monkeypatch.setattr(theta_module, "ideal_intersect", counted)
-    th = theta.__wrapped__(p, target)
-    distinct = set(comp for _, comp in th.components)
-    assert len(th.components) == 12 and len(distinct) == 4
-    assert len(calls) == len(distinct) - 1
-    total = th.components[0][1]
-    for _, comp in th.components[1:]:
-        total = real(total, comp)
-    assert ideal_equal(th.ideal, total)
+    for zgens, distinct_count, calls_count in [
+            # 12 good pairs of three parts into two share 5 component
+            # ideals, none zero: each distinct one is intersected once
+            (["t1+t2+t3", "t1*t2*t3-1"], 5, 4),
+            # they share 4, one of them the zero ideal (the pairs whose
+            # domain drops t1 or t2): it is the intersection, and none runs
+            (["t1+t2-1"], 4, 0)]:
+        p = make_sprime([INF, INF, INF], [1, 1, 1], [parse(s) for s in zgens])
+        calls.clear()
+        th = theta.__wrapped__(p, target)
+        distinct = set(comp for _, comp in th.components)
+        assert len(th.components) == 12 and len(distinct) == distinct_count
+        assert len(calls) == calls_count
+        total = th.components[0][1]
+        for _, comp in th.components[1:]:
+            total = real(total, comp)
+        assert ideal_equal(th.ideal, total)
 
 
 def test_theta_examples():
