@@ -12,6 +12,12 @@ source parts onto the target parts, depth first with per-target deficits,
 and stops at the first map that covers every target.  `psi0` sorts its
 obstructions by a rank that strictly increases along strict degeneration
 and keeps, in one sweep, each obstruction with no kept one below it.
+
+A shape's canonical (size, weight) pairs are the plain tuple behind it.
+The search (`_leq`), the box enumeration (`_box`) and `psi0`'s rank and
+sweep run on these tuples, so `psi0` and `box_degenerations` validate and
+build a `WeightedShape` only for the shapes they return; `shape_leq` and
+`box_candidates` are the same search and enumeration on shapes.
 """
 
 import itertools
@@ -178,8 +184,19 @@ def good_pairs(target, source):
     return tuple(out)
 
 
-def shape_leq(a, b):
-    """True iff shape a is a degeneration of shape b (a below b).
+def _pairs(s):
+    """The (size, weight) pairs of a shape, in canonical order."""
+    return tuple(zip(s.parts, s.weights))
+
+
+def _shape_of(pairs):
+    """The shape of canonical (size, weight) pairs."""
+    return WeightedShape(tuple(p for p, _ in pairs), tuple(w for _, w in pairs))
+
+
+def _leq(a, b):
+    """True iff the shape with (size, weight) pairs a is a degeneration of
+    the one with pairs b (a below b).
 
     A source part that joins a fiber only raises that fiber's size and
     weight sums, so a good pair exists exactly when some total map of b's
@@ -192,14 +209,12 @@ def shape_leq(a, b):
     Each source covers at most one target, so a state with more uncovered
     targets than sources left fails at once (a.r > b.r among them).
     """
-    src = tuple(zip(b.parts, b.weights))
-
     def cover(i, state):
         if not state:
             return True
-        if len(state) > len(src) - i:
+        if len(state) > len(b) - i:
             return False
-        size, weight = src[i]
+        size, weight = b[i]
         for k, (kind, deficit) in enumerate(state):
             if k and state[k - 1] == (kind, deficit):
                 continue
@@ -214,26 +229,43 @@ def shape_leq(a, b):
                 return True
         return False
 
-    return cover(0, tuple(sorted((0, w) if p == INF else (1, p)
-                                 for p, w in zip(a.parts, a.weights))))
+    return cover(0, tuple(sorted((0, w) if p == INF else (1, p) for p, w in a)))
+
+
+def shape_leq(a, b):
+    """True iff shape a is a degeneration of shape b (a below b): `_leq`
+    on their (size, weight) pairs."""
+    return _leq(_pairs(a), _pairs(b))
+
+
+def _box(max_parts, finite_cap, weight_cap):
+    """The (size, weight) pairs of every canonical shape with at most
+    max_parts parts, finite sizes at most finite_cap, and weights at most
+    weight_cap: multisets over an alphabet listed in canonical order."""
+    alphabet = [(INF, w) for w in range(weight_cap, 0, -1)]
+    alphabet += [(p, 1) for p in range(finite_cap, 0, -1)]
+    for k in range(1, max_parts + 1):
+        for combo in itertools.combinations_with_replacement(alphabet, k):
+            if combo[0][0] == INF:  # canonical order puts an infinite part first
+                yield combo
 
 
 def box_candidates(max_parts, finite_cap, weight_cap):
     """All canonical shapes with at most max_parts parts, finite sizes at
     most finite_cap, and weights at most weight_cap."""
-    alphabet = [(INF, w) for w in range(weight_cap, 0, -1)]
-    alphabet += [(p, 1) for p in range(finite_cap, 0, -1)]
-    for k in range(1, max_parts + 1):
-        for combo in itertools.combinations_with_replacement(alphabet, k):
-            if combo[0][0] != INF:
-                continue  # canonical order puts an infinite part first
-            parts = tuple(p for p, _ in combo)
-            weights = tuple(w for _, w in combo)
-            yield WeightedShape(parts, weights)
+    return map(_shape_of, _box(max_parts, finite_cap, weight_cap))
 
 
-def _rank(s):
-    """A key that strictly increases along strict degeneration t < s.
+def box_degenerations(base, max_parts, finite_cap, weight_cap):
+    """The shapes of `box_candidates(max_parts, finite_cap, weight_cap)`
+    that are degenerations of base, in that order; only these are built."""
+    b = _pairs(base)
+    return [_shape_of(c) for c in _box(max_parts, finite_cap, weight_cap) if _leq(c, b)]
+
+
+def _rank(pairs):
+    """A key on (size, weight) pairs that strictly increases along strict
+    degeneration t < s.
 
     Fibers are disjoint and nonempty, so t.r <= s.r; every infinite target
     part takes infinite source parts of at least its weight, which bounds
@@ -242,8 +274,8 @@ def _rank(s):
     parts of equal weights and of finite parts onto finite parts no
     smaller, so t != s forces a smaller finite sum.
     """
-    return (s.r, s.inf_weight_sum(), sum(1 for p in s.parts if p == INF),
-            s.finite_sum())
+    return (len(pairs), sum(w for p, w in pairs if p == INF),
+            sum(1 for p, _ in pairs if p == INF), sum(p for p, _ in pairs if p != INF))
 
 
 def psi0(base):
@@ -255,15 +287,18 @@ def psi0(base):
     longer changes; a test checks the box against a larger one.  Rank
     strictly increases along strict degeneration, so one sweep in rank
     order keeps exactly the obstructions with no kept shape below them.
+    The box is filtered, ranked and swept as (size, weight) pairs, and a
+    shape is built only for each one kept.
     """
-    obstructions = [s for s in box_candidates(base.r + 1, 1 + base.finite_sum(),
-                                              1 + base.inf_weight_sum())
-                    if not shape_leq(s, base)]
+    b = _pairs(base)
+    obstructions = [c for c in _box(base.r + 1, 1 + base.finite_sum(),
+                                    1 + base.inf_weight_sum())
+                    if not _leq(c, b)]
     kept = []
-    for s in sorted(obstructions, key=_rank):
-        if not any(shape_leq(m, s) for m in kept):
-            kept.append(s)
-    return tuple(sorted(kept, key=shape_sort_key))
+    for c in sorted(obstructions, key=_rank):
+        if not any(_leq(m, c) for m in kept):
+            kept.append(c)
+    return tuple(sorted(map(_shape_of, kept), key=shape_sort_key))
 
 
 def refinement_pairs(source, target):

@@ -8,7 +8,7 @@ over the good pairs of every admissible target shape.
 
 import itertools
 
-from .combinat import box_candidates, good_pairs, psi0, shape_leq, shape_sort_key
+from .combinat import box_degenerations, good_pairs, psi0, shape_sort_key
 from .groebner import poly_divides
 from .poly import xvar
 from .sprime import member
@@ -52,11 +52,10 @@ def _phi_targets(p, budget=None):
     intersection is computed.
     """
     lam = p.shape
-    cands = [cand for cand in box_candidates(lam.r, 1 + lam.finite_sum(),
-                                             lam.inf_weight_sum())
-             if shape_leq(cand, lam)
-             and all(theta_pair(p, cand, gp, budget).gens
-                     for gp in good_pairs(cand, lam))]
+    cands = [cand for cand in box_degenerations(lam, lam.r, 1 + lam.finite_sum(),
+                                                lam.inf_weight_sum())
+             if all(theta_pair(p, cand, gp, budget).gens
+                    for gp in good_pairs(cand, lam))]
     return sorted(cands, key=shape_sort_key)
 
 

@@ -58,12 +58,12 @@ class Ideal:
     """Ideal of `Poly` generators with a per-order cache of reduced bases.
 
     Values are immutable apart from the caches (reduced bases, default
-    order, and on a reduced basis its packed heads with their squarefree
-    flag); cache writes are single idempotent assignments of a unique
-    value, so concurrent use at worst recomputes the same value.
+    order, on a reduced basis its packed heads with their squarefree flag,
+    and the hash); cache writes are single idempotent assignments of a
+    unique value, so concurrent use at worst recomputes the same value.
     """
 
-    __slots__ = ("field", "gens", "ambient", "_gb", "_order", "_heads")
+    __slots__ = ("field", "gens", "ambient", "_gb", "_order", "_heads", "_hash")
 
     def __init__(self, gens, ambient=(), field=None):
         gens = tuple(g for g in gens if not g.is_zero())
@@ -80,6 +80,7 @@ class Ideal:
         self._gb = {}
         self._order = None
         self._heads = {}
+        self._hash = None
 
     def default_order(self):
         """Grevlex over the ambient, built on first use."""
@@ -92,7 +93,9 @@ class Ideal:
                 and self.gens == other.gens and self.ambient == other.ambient)
 
     def __hash__(self):
-        return hash((self.field.char, self.gens, self.ambient))
+        if self._hash is None:  # memo lookups hash the same ideal again and again
+            self._hash = hash((self.field.char, self.gens, self.ambient))
+        return self._hash
 
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(str(g) for g in self.gens)

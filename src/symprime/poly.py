@@ -12,13 +12,15 @@ monomial encoding (`PackedLayout`, after Monagan and Pearce, CASC 2007):
 each monomial is one int whose int order is the monomial order and whose
 `+` is the monomial product.  `product` (a list of factors, each packed
 once), large `Poly` products and the canonical print run on it, and so
-does the Groebner kernel.  The jet walk (`sprime._Jets`) keeps its own
-narrower keys (bit_length(deg f) bits per exponent, no order fields or
-guard bits): it adds keys and shifts exponents but never compares keys,
-and on a grevlex `PackedLayout` it ran about 30 % slower.  Its one leaf
-readout moves the t-parts into a `PackedLayout` through
-`PackedLayout.unit`: the Groebner kernel's, for `sprime.member` to divide
-them, or grevlex over t1..tr, for `placement_jets` to unpack them.
+does the Groebner kernel.  Since int order is the canonical order, a
+product's terms come out already sorted for the print.  The jet walk
+(`sprime._Jets`) keeps its own narrower keys (bit_length(deg f) bits per
+exponent, no order fields or guard bits): it adds keys and shifts
+exponents but never compares keys, and on a grevlex `PackedLayout` it ran
+about 30 % slower.  Its one leaf readout moves the t-parts into a
+`PackedLayout` through `PackedLayout.unit`: the Groebner kernel's, for
+`sprime.member` to divide them, or grevlex over t1..tr, for
+`placement_jets` to unpack them.
 """
 
 from fractions import Fraction
@@ -478,14 +480,22 @@ def _layout_of(variables, width):
 
 class Poly:
     """Immutable sparse polynomial over a fixed coefficient field; its hash
-    and its text are computed once, on first use."""
+    and its text are computed once, on first use.
 
-    __slots__ = ("field", "terms", "_hash", "_str")
+    `ordered` claims that the term dict is in descending canonical order,
+    so the print needs no sort and the degree is the first term's.  Only
+    code that builds the dict in that order may set it: `_product`'s
+    callers (`product` and the packed branch of `__mul__`) and `__neg__`,
+    which keeps its operand's order.
+    """
 
-    def __init__(self, field, terms):
+    __slots__ = ("field", "terms", "ordered", "_hash", "_str")
+
+    def __init__(self, field, terms, ordered=False):
         # terms must already be coerced with zeros dropped; use the builders
         self.field = field
         self.terms = terms
+        self.ordered = ordered
         self._hash = None
         self._str = None
 
@@ -530,9 +540,12 @@ class Poly:
         return out
 
     def degree(self):
-        """Total degree; -1 for the zero polynomial."""
+        """Total degree; -1 for the zero polynomial.  The canonical order
+        is graded, so an `ordered` polynomial's first term has it."""
         if not self.terms:
             return -1
+        if self.ordered:
+            return mono_degree(next(iter(self.terms)))
         return max(mono_degree(m) for m in self.terms)
 
     def __add__(self, other):
@@ -552,7 +565,7 @@ class Poly:
 
     def __neg__(self):
         f = self.field
-        return Poly(f, {m: f.neg(c) for m, c in self.terms.items()})
+        return Poly(f, {m: f.neg(c) for m, c in self.terms.items()}, self.ordered)
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -566,7 +579,7 @@ class Poly:
         if not a or not b:
             return Poly(f, {})
         if len(a) * len(b) >= _PACKED_PAIRS:
-            return Poly(f, _product([a, b], f.char))
+            return Poly(f, _product([a, b], f.char), True)
         out = {}
         add, mul = f.add, f.mul
         for m2, c2 in b.items():
@@ -673,13 +686,15 @@ class Poly:
     def _text(self):
         """Terms in descending canonical order, by their packed monomials in
         grevlex over their own variables; each power of a variable is
-        spelled once."""
+        spelled once.  An `ordered` dict is in that order already (only
+        `_product`'s callers and `__neg__` set the flag), so it is not
+        packed and sorted again."""
         if not self.terms:
             return "0"
         spelled = {(v, k): var_name(v) if k == 1 else "%s^%d" % (var_name(v), k)
                    for v, k in set().union(*self.terms)}
         items = self.terms.items()
-        if len(items) > 1:
+        if len(items) > 1 and not self.ordered:
             # packed monomials are distinct, so no coefficient is compared
             packed = _canonical_layout(*_support([self.terms])).pack(self.terms)[0]
             items = [t for _, t in sorted(zip(packed, items), reverse=True)]
@@ -721,7 +736,11 @@ def _product(factors, p):
     product is an int `+`, and coefficients accumulate as integers (over
     QQ with each factor's denominators cleared, over GF(p) reduced after
     each factor).  `divide_out` turns the coefficients back into field
-    elements, and each nonzero term's monomial is unpacked once."""
+    elements, and each nonzero term's monomial is unpacked once, in
+    descending packed order.  That is the canonical order the print uses:
+    the variables are the same and, over a field, the degree of a product
+    is the sum of its factors' degrees, so `_text` would pack into this
+    same layout and sort the same way."""
     layout = _canonical_layout(*_support(factors))
     (out, den), *rest = [clear_denominators(layout.pack(t)[0]) for t in factors]
     for i, (packed, d) in enumerate(rest, 1):
@@ -735,14 +754,16 @@ def _product(factors, p):
         out = acc.items()
         if i < len(rest):  # the last factor's product is reduced below
             out = [(m, r) for m, c in out if (r := c % p if p else c)]
+    terms = divide_out(out, den, p)
     unpack = layout.unpack
-    return {unpack(m): c for m, c in divide_out(out, den, p).items()}
+    return {unpack(m): terms[m] for m in sorted(terms, reverse=True)}
 
 
 def product(factors, field=QQ):
     """The product of a list of polynomials over the field, multiplied in
     one pass on packed monomials (`_product`): 1 for no factors, 0 if a
-    factor is 0."""
+    factor is 0.  A product of several factors comes out `ordered`, so it
+    prints without packing its terms again."""
     if any(f.field is not field for f in factors):
         raise ValueError("mixed coefficient fields")
     if len(factors) == 1:
@@ -752,7 +773,7 @@ def product(factors, field=QQ):
         return Poly.const(1, field)
     if not all(terms):
         return Poly(field, {})
-    return Poly(field, _product(terms, field.char))
+    return Poly(field, _product(terms, field.char), True)
 
 
 # ---------------------------------------------------------------------------

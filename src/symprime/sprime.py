@@ -455,8 +455,8 @@ def member(f, p, budget=None):
     if f.is_zero():
         return True
     xs, degree, _ = window = _x_window(f)
-    sat = saturated_ideal(p)
     r = p.shape.r
+    sat = _saturated(p.z_ideal, r)
     basis = packed_basis(sat, [tvar(alpha) for alpha in range(1, r + 1)], budget)
     layout, heads, squarefree = basis
     if heads and not heads[0][0]:  # a constant head: the basis is (1)

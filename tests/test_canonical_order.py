@@ -10,7 +10,8 @@ from fractions import Fraction
 
 from symprime.generators import sign_normalize
 from symprime.groebner import MonomialOrder
-from symprime.poly import FAMILIES, GF, Poly, QQ, canonical_key, var_key, var_name
+from symprime.poly import (FAMILIES, GF, Poly, QQ, canonical_key, product, var_key,
+                           var_name, xvar)
 
 variables = st.tuples(st.sampled_from(FAMILIES), st.integers(1, 4))
 monomials = st.dictionaries(variables, st.integers(1, 4), max_size=4).map(
@@ -72,3 +73,28 @@ def test_print_and_lead_follow_canonical_key(terms, char):
     assert str(f) == reference_text(f)
     if f.terms and char == 0:
         assert sign_normalize(f).terms[max(f.terms, key=canonical_key)] > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(monomials, coefficients, min_size=1, max_size=5),
+                min_size=2, max_size=4),
+       st.sampled_from([0, 7, 32003]))
+def test_products_print_as_their_terms_built_unordered(factors, char):
+    field = GF(char) if char else QQ
+    polys = [Poly.from_terms(t.items(), field) for t in factors]
+    prod = product(polys, field)
+    assert prod.ordered or prod.is_zero()
+    # the same terms in reversed dict order, printed through the sort
+    plain = Poly.from_terms(reversed(prod.terms.items()), field)
+    assert not plain.ordered
+    assert str(prod) == str(plain) == reference_text(plain)
+    assert str(-prod) == str(-plain)
+    assert prod.degree() == (-prod).degree() == plain.degree()
+    big = polys[0] * polys[1]  # the operator's packed branch past 12 term pairs
+    assert str(big) == reference_text(big)
+    assert big.degree() == Poly.from_terms(big.terms.items(), field).degree()
+    # + appends new terms and rename re-sorts nothing: neither keeps the flag
+    added = prod + Poly.variable(xvar(5), field) ** 9
+    assert str(added) == reference_text(added)
+    swapped = prod.rename({xvar(1): xvar(2), xvar(2): xvar(1), ("t", 1): xvar(3)})
+    assert str(swapped) == reference_text(swapped)

@@ -6,9 +6,11 @@ import random
 import pytest
 
 from symprime import combinat
-from symprime.combinat import (INF, WeightedShape, _rank, box_candidates,
-                               canonicalize, good_pairs, psi0, refinement_pairs,
-                               shape, shape_leq, shape_sort_key, parse_shape_arg)
+from symprime.combinat import (INF, WeightedShape, _pairs, _rank, box_candidates,
+                               box_degenerations, canonicalize, good_pairs, psi0,
+                               refinement_pairs, shape, shape_leq, shape_sort_key,
+                               parse_shape_arg)
+from symprime.generators import _phi_targets
 
 try:
     import hypothesis
@@ -192,7 +194,7 @@ def test_rank_strictly_increases_along_degeneration():
         a = _degeneration(data, b)
         assert shape_leq(a, b)
         if a != b:
-            assert _rank(a) < _rank(b)
+            assert _rank(_pairs(a)) < _rank(_pairs(b))
             assert not shape_leq(b, a)
 
     check()
@@ -269,16 +271,52 @@ def test_psi0_golden_three_parts():
 
 def test_psi0_shape_leq_calls(monkeypatch):
     calls = []
-    leq = combinat.shape_leq
+    leq = combinat._leq
 
     def counting(a, b):
         calls.append((a, b))
         return leq(a, b)
 
-    monkeypatch.setattr(combinat, "shape_leq", counting)
+    # psi0 runs the search on (size, weight) pairs, not through shape_leq
+    monkeypatch.setattr(combinat, "_leq", counting)
     psi0(shape([INF, INF], [2, 2]))
     # testing every obstruction against every other one took 753 calls
     assert len(calls) == 165
+
+
+def _shape_rank(s):
+    """The rank of `_psi0_on_shapes`, read off a WeightedShape."""
+    return (s.r, s.inf_weight_sum(), sum(1 for p in s.parts if p == INF),
+            s.finite_sum())
+
+
+def _psi0_on_shapes(base):
+    """psi0 as a filter and rank sweep over WeightedShapes: every box
+    candidate is built as a shape and tested with shape_leq."""
+    obstructions = [s for s in box_candidates(base.r + 1, 1 + base.finite_sum(),
+                                              1 + base.inf_weight_sum())
+                    if not shape_leq(s, base)]
+    kept = []
+    for s in sorted(obstructions, key=_shape_rank):
+        if not any(shape_leq(m, s) for m in kept):
+            kept.append(s)
+    return tuple(sorted(kept, key=shape_sort_key))
+
+
+def test_psi0_matches_the_shape_sweep_on_a_box():
+    for base in box_candidates(3, 3, 3):
+        assert psi0(base) == _psi0_on_shapes(base), str(base)
+
+
+def test_psi0_matches_the_shape_sweep_on_phi_targets(prime_pool):
+    for p in prime_pool.values():
+        lam = p.shape
+        below = [s for s in box_candidates(lam.r, 1 + lam.finite_sum(), lam.inf_weight_sum())
+                 if shape_leq(s, lam)]
+        assert box_degenerations(lam, lam.r, 1 + lam.finite_sum(),
+                                 lam.inf_weight_sum()) == below
+        for target in _phi_targets(p):
+            assert psi0(target) == _psi0_on_shapes(target), str(target)
 
 
 def test_refinement_pairs_examples():
