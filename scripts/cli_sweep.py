@@ -11,6 +11,8 @@ problem files to a temporary directory:
 - `theta` and `spectrum-slice` at fixed targets;
 - `member` with three polynomials at three `--max-reductions` values,
   and once over a 1200-variable window, deeper than the recursion limit;
+- `member` at the default budget with four polynomials in 3-4 variables
+  on the primes whose locus fixes a coordinate (a pinned part);
 - `witness` for the failing pairs of acceptance criterion 5;
 - `psi0`, `radical` and `contract-verify` on fixed inputs;
 - small budgets and bad input (bad polynomial text and a problem file
@@ -87,6 +89,11 @@ WITNESS_PAIRS = (
 TARGETS = (("inf", "2"), ("inf,inf", "1,1"), ("inf,1", "2,1"))
 POLYS = ("(x1-x2)^2", "x1*x2-x1^2", "(x1-x2)^3*(x2-x3)")
 REDUCTIONS = ("5", "200", "2000000")
+# primes of the pool whose reduced basis holds some t_alpha - c
+PINNED = ("allzero1", "allzero2", "allzero3", "allzero5", "one2", "point", "fin31",
+          "q3pts")
+PINNED_POLYS = ("(x1-x2)^2*(x2-x3)^2*(x1-x3)^2", "(x1-x2)^2*(x3-x4)^2*(x1+x2+x3+x4)^2",
+                "x1^2*x2^2*x3^2*x4^2*(x1-1)*(x2-2)", "(x1-x2)^3*(x2-x3)^3*(x3-x4)^3")
 PSI0 = (("inf", "3"), ("inf,inf", "2,2"), ("inf,inf,1", "2,1,1"))
 RADICALS = (("diag1", "diag2"), ("allzero1", "line0", "circle22"),
             ("free22", "fin31", "q3pts"))
@@ -128,6 +135,9 @@ def commands():
         for f in POLYS:
             for k in REDUCTIONS:
                 yield ["member", p, "--poly", f, "--max-reductions", k]
+    for p in PINNED:
+        for f in PINNED_POLYS:
+            yield ["member", p, "--poly", f]
     for p, q, point in WITNESS_PAIRS:
         parts, weights, _ = POOL[q]
         argv = ["witness", p, "--lambda", ",".join(map(str, parts)),

@@ -25,7 +25,7 @@ from .sprime import SPrimeData, member
 from .spectrum import make_radical, theta_slice
 from .theta import contains, theta
 from .generators import full_gens
-from .witness import NoWitnessError, WitnessLayout, build_h
+from .witness import NoWitnessError, witness_and_layout
 
 
 def _load_prime(path):
@@ -98,8 +98,7 @@ def cmd_witness(args, budget):
     p = _load_prime(args.p)
     q_shape = parse_shape_arg(args.lam, args.e)
     point = args.point.split(",") if args.point else None
-    h = build_h(p, q_shape, q_point=point, budget=budget)
-    layout = WitnessLayout.build(p.shape, q_shape)
+    h, layout = witness_and_layout(p, q_shape, q_point=point, budget=budget)
     return {"witness": str(h), "layout": layout.to_json_obj()}
 
 

@@ -17,6 +17,13 @@ its t-parts move into a packed layout over t1..tr, grouped by e-part.
 and divides each coefficient there as a multiple of itself, never dividing
 the ints back out; only its radical fallback and `placement_jets` (in
 grevlex over t1..tr) turn a group into field coefficients (`_Jets.poly`).
+Where the locus fixes a coordinate, so that the reduced basis holds
+t_alpha - c for an integer c, `member` pins part alpha: its walk
+substitutes x_i -> c + e_i there, and each coefficient arrives evaluated
+at t_alpha = c, which is congruent to it modulo the ideal.  At c = 0 a
+term of x_i-degree k becomes its e_i^k part alone, or nothing once k
+reaches the part's weight, so a state shrinks at such a step instead of
+growing.  `placement_jets` pins nothing.
 Parts of equal size and weight whose exchange fixes the saturated
 configuration ideal give the same prime, so placements that such exchanges
 relate get the same verdict, and `member` walks one placement per orbit.
@@ -152,28 +159,32 @@ class _Moves(dict):
     keys of width w: moves[k], built on first use, holds for x-exponent k
     the pairs (key offset, C(k, j)), j < weight, j <= k, the offset taking
     the key's x^k to t_alpha^(k-j) * e^j.  A term's k is its field at
-    `x_shift` under `mask`."""
+    `x_shift` under `mask`.  With a pin c (an int) the step is x -> c + e:
+    the offset takes x^k to e^j and the factor is C(k, j) * c^(k-j), zero
+    factors dropped, so at c = 0 only j = k < weight is left."""
 
-    __slots__ = ("x_shift", "mask", "_unit", "_e_step", "_weight")
+    __slots__ = ("x_shift", "mask", "_unit", "_e_step", "_weight", "_c")
 
-    def __init__(self, w, x_shift, t_shift, e_shift, weight):
+    def __init__(self, w, x_shift, t_shift, e_shift, weight, pin):
         super().__init__()
         self.x_shift, self.mask, self._weight = x_shift, (1 << w) - 1, weight
-        self._unit = (1 << t_shift) - (1 << x_shift)    # x^1 -> t_alpha^1
-        self._e_step = (1 << e_shift) - (1 << t_shift)  # t_alpha^1 -> e^1
+        # unpinned, t_alpha^(k-j) stays in the key and the factor is C(k, j)
+        t, self._c = (1 << t_shift, 1) if pin is None else (0, pin)
+        self._unit = t - (1 << x_shift)    # x^1 -> t_alpha^1
+        self._e_step = (1 << e_shift) - t  # t_alpha^1 -> e^1
 
     def __missing__(self, k):
-        base, step = k * self._unit, self._e_step
-        out = self[k] = tuple((base + j * step, math.comb(k, j))
-                              for j in range(min(k + 1, self._weight)))
+        base, step, c = k * self._unit, self._e_step, self._c
+        out = self[k] = tuple((base + j * step, b) for j in range(min(k + 1, self._weight))
+                              if (b := math.comb(k, j) * c ** (k - j)))
         return out
 
 
 @lru_cache(maxsize=4096)
-def _moves(w, r, n, level, alpha, weight):
-    """The `_Moves` of level and alpha for keys of width w over r parts and
-    n window variables, shared by every f of that layout."""
-    return _Moves(w, (r + n + level) * w, (alpha - 1) * w, (r + level) * w, weight)
+def _moves(w, r, n, level, alpha, weight, pin):
+    """The `_Moves` of level, alpha and pin for keys of width w over r
+    parts and n window variables, shared by every f of that layout."""
+    return _Moves(w, (r + n + level) * w, (alpha - 1) * w, (r + level) * w, weight, pin)
 
 
 def _swapped_into(root, image, lo, w):
@@ -208,9 +219,12 @@ class _Jets:
     level's variable by the offsets of a `_moves` table, shared by every f
     of the same key layout, and copies the others.  A leaf's t-parts are
     read out in `layout`, a `PackedLayout` over t1..tr that holds deg f.
+    `pins` holds per part None or an int c; a variable placed in a part
+    with a pin c is substituted x_i -> c + e_i, so that part's t-field
+    stays 0 (`member`'s `_pins`).  Without pins every part keeps t_alpha.
     """
 
-    def __init__(self, f, window, r, layout):
+    def __init__(self, f, window, r, layout, pins=None):
         self.field = f.field
         self.xs, degree, self.den = window
         den = self.den
@@ -228,6 +242,7 @@ class _Jets:
         self.layout = layout
         self._units = _t_units(layout, r)
         self._t_packed = {}
+        self._pins = pins or (None,) * r
 
     def ties(self):
         """The window levels l >= 1 whose variable is tied to level l - 1's:
@@ -248,9 +263,10 @@ class _Jets:
         return tuple(out)
 
     def step(self, state, level, alpha, weight):
-        """State after substituting x_xs[level] -> t_alpha + e, truncated at
-        e^weight.  Terms that meet are summed, and cancel, here."""
-        moves = _moves(*self._dims, level, alpha, weight)
+        """State after substituting x_xs[level] -> t_alpha + e (c + e when
+        alpha is pinned to c), truncated at e^weight.  Terms that meet are
+        summed, and cancel, here."""
+        moves = _moves(*self._dims, level, alpha, weight, self._pins[alpha - 1])
         x_shift, mask = moves.x_shift, moves.mask
         out = {}
         get = out.get
@@ -301,6 +317,29 @@ class _Jets:
         unpack = self.layout.unpack
         terms = divide_out(group.items(), self.den, self.field.char)
         return Poly(self.field, {unpack(m): c for m, c in terms.items()})
+
+
+def _pins(p, basis):
+    """Per part of p, the int c when the reduced basis of saturated_ideal(p)
+    holds t_alpha - c, else None; `basis` is a `packed_basis` entry of
+    that ideal over t1..tr.  Such an element is a head whose leading
+    monomial is t_alpha, with lc 1 and no other term but a constant, so
+    2*t1 - 1 pins nothing.  Computed once per prime and kept on p, like
+    `part_classes`; the pins do not depend on the layout's degree bound.
+    """
+    pins = p.__dict__.get("_pins")
+    if pins is not None:
+        return pins
+    layout, heads, _ = basis
+    r = p.shape.r
+    parts = {unit: alpha for alpha, unit in enumerate(_t_units(layout, r))}
+    pins = [None] * r
+    for lm, lc, tail in heads:
+        alpha = parts.get(lm)
+        if alpha is not None and lc == 1 and (not tail or len(tail) == 1 and not tail[0][0]):
+            pins[alpha] = -tail[0][1] if tail else 0
+    pins = p.__dict__["_pins"] = tuple(pins)
+    return pins
 
 
 def part_classes(p, budget=None):
@@ -450,6 +489,19 @@ def member(f, p, budget=None):
     remainder means False when the basis's leading monomials are
     squarefree; otherwise that coefficient's `Poly` goes to
     `radical_member`.
+
+    A part whose coordinate the locus fixes is pinned (`_pins`): the walk
+    substitutes x_i -> c + e_i for a variable placed there, not t_alpha +
+    e_i.  Say t_alpha - c, c an integer, is an element of the reduced
+    basis.  Reducedness keeps t_alpha out of every other basis element, so
+    the ideal I is (t_alpha - c) + J with J free of t_alpha.  Every
+    coefficient G is then congruent to G(t_alpha = c) mod I, and G lies in
+    I, or in its radical, exactly when the evaluated coefficient does.  The
+    evaluated leaves have t_alpha-exponent 0 and are divided by the same
+    basis, and the radical fallback gets the evaluated `Poly`; the budget
+    counts the division steps of the evaluated coefficient.  Pins are used
+    only when f is over the ideal's field, so an f over another field
+    walks as before and meets the same "mixed coefficient fields" test.
     """
     budget = budget or DEFAULT_BUDGET
     if f.is_zero():
@@ -467,8 +519,8 @@ def member(f, p, budget=None):
     if degree > budget.max_degree:  # before the walk builds deg f + 1 binomial rows
         raise BudgetExceededError("degree %d exceeds budget" % degree)
     classes = part_classes(p, budget)
-    jets = _Jets(f, window, r, layout)
     char = f.field.char
+    jets = _Jets(f, window, r, layout, _pins(p, basis) if char == sat.field.char else None)
     for _path, state in _walk(jets, p.shape, classes, jets.ties() if r > 1 else ()):
         for work in jets.groups(state).values():
             if char != sat.field.char:

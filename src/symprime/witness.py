@@ -114,8 +114,9 @@ def _check_degree(degree, budget):
         raise BudgetExceededError("witness degree %d exceeds budget" % degree)
 
 
-def witnesses(source, target, locus_gens, budget=None):
-    """Witnesses h1*h2*h3 of a prime of the source shape against the target.
+def witnesses(source, target, locus_gens, budget=None, layout=None):
+    """Witnesses h1*h2*h3 of a prime of the source shape against the target,
+    in `layout`, which is built here unless the caller passes it.
 
     locus_gens maps every good pair of the target and source shapes, in
     good_pairs order, to the locus generators it may lift.  One witness is
@@ -126,7 +127,7 @@ def witnesses(source, target, locus_gens, budget=None):
     would exceed the budget's max_degree, summing the degrees of the factors.
     """
     budget = budget or DEFAULT_BUDGET
-    layout = WitnessLayout.build(source, target)
+    layout = layout or WitnessLayout.build(source, target)
     factors, degree = _differences(layout, budget)
     if not all(locus_gens.values()):
         return
@@ -145,7 +146,14 @@ def witnesses(source, target, locus_gens, budget=None):
 
 
 def build_h(p, q_shape, q_point=None, budget=None):
-    """Separating polynomial for p's prime against the target shape.
+    """Separating polynomial for p's prime against the target shape; see
+    `witness_and_layout`."""
+    return witness_and_layout(p, q_shape, q_point, budget)[0]
+
+
+def witness_and_layout(p, q_shape, q_point=None, budget=None):
+    """(h, layout): the separating polynomial h for p's prime against the
+    target shape, and the `WitnessLayout` it was built in.
 
     When no good pairs exist the locus factors are trivial and no point is
     needed.  Otherwise q_point must be a rational point of the target
@@ -155,23 +163,22 @@ def build_h(p, q_shape, q_point=None, budget=None):
     point.
     """
     gps = good_pairs(q_shape, p.shape)
-    if not gps:
-        return next(witnesses(p.shape, q_shape, {}, budget))
-    if q_point is None:
-        raise NoWitnessError("a rational target point outside the degeneration "
-                             "closure is required when good pairs exist")
-    try:
-        point = tuple(Fraction(c) for c in q_point)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    except ZeroDivisionError:
-        raise InputError("point coordinates need nonzero denominators") from None
-    if len(point) != q_shape.r:
-        raise InputError("point has %d coordinates, target has %d parts"
-                         % (len(point), q_shape.r))
-    if len(set(point)) != len(point):
-        raise InputError("target point must have pairwise distinct coordinates")
     picks = {}
+    if gps:
+        if q_point is None:
+            raise NoWitnessError("a rational target point outside the degeneration "
+                                 "closure is required when good pairs exist")
+        try:
+            point = tuple(Fraction(c) for c in q_point)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
+        except ZeroDivisionError:
+            raise InputError("point coordinates need nonzero denominators") from None
+        if len(point) != q_shape.r:
+            raise InputError("point has %d coordinates, target has %d parts"
+                             % (len(point), q_shape.r))
+        if len(set(point)) != len(point):
+            raise InputError("target point must have pairwise distinct coordinates")
     for gp in gps:
         coords = {("t", a + 1): point[b] for a, b in zip(gp.domain, gp.targets)}
         chosen = next((g for g in projection_ideal(p, gp.domain, budget).gens
@@ -180,7 +187,8 @@ def build_h(p, q_shape, q_point=None, budget=None):
             raise NoWitnessError("point lies in the degeneration closure; "
                                  "containment holds and no witness exists")
         picks[gp] = (chosen,)
-    return next(witnesses(p.shape, q_shape, picks, budget))
+    layout = WitnessLayout.build(p.shape, q_shape)
+    return next(witnesses(p.shape, q_shape, picks, budget, layout)), layout
 
 
 def certify(h, p, q, budget=None):

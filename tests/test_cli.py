@@ -95,6 +95,22 @@ def test_witness_command(problem_files, capsys):
     assert code == 0 and "x1^2" in report["witness"]
 
 
+def test_witness_command_builds_its_layout_once(problem_files, capsys, monkeypatch):
+    # the report reads back the layout the witness was built in
+    from symprime.witness import WitnessLayout
+    built = []
+    real = WitnessLayout.build.__func__
+
+    def build(cls, source, target):
+        built.append((source, target))
+        return real(cls, source, target)
+    monkeypatch.setattr(WitnessLayout, "build", classmethod(build))
+    code, report = run(capsys, "witness", problem_files["line"],
+                       "--lambda", "inf", "--e", "3")
+    assert code == 0 and report["layout"]["m"] == 3
+    assert len(built) == 1
+
+
 def test_contract_verify_command(capsys):
     code, report = run(capsys, "contract-verify", "-n", "2", "-q", "2,2", "--char", "0")
     assert code == 0 and report["verified"] is True

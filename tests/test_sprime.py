@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 from symprime import sprime
 from symprime.combinat import INF, shape
 from symprime.generators import full_gens
-from symprime.groebner import Budget, BudgetExceededError, Ideal, radical_member
+from symprime.groebner import (Budget, BudgetExceededError, Ideal, packed_basis,
+                               radical_member)
 from symprime.poly import (GF, InputError, MonomialOrder, PackedLayout, Poly, QQ, parse,
                            tvar, xvar)
 from symprime.sprime import (SPrimeData, assignments, make_sprime, member,
@@ -396,17 +397,20 @@ def test_member_decides_each_leaf_as_radical_member_does(prime_pool, case):
     assert member(f, pool[key]) == _leafwise_member(f, pool[key], part_classes(pool[key]))
 
 
-@pytest.mark.parametrize("key", ["diag1", "free22", "circle22"])
-def test_member_refuses_a_nonzero_coefficient_over_another_field(prime_pool, key):
+# allzero1 and q3pts pin parts over QQ; an f over GF(5) walks unpinned, so
+# its coefficient t1 still meets the field test
+@pytest.mark.parametrize("key", ["diag1", "free22", "circle22", "allzero1", "q3pts"])
+def test_member_refuses_a_nonzero_coefficient_over_another_field(acceptance_pool, key):
     with pytest.raises(ValueError, match="mixed coefficient fields"):
-        member(parse("x1", GF(5)), prime_pool[key])
+        member(parse("x1", GF(5)), acceptance_pool[key])
 
 
-def test_member_over_gf_p_reduces_each_coefficient_first(prime_pool):
+def test_member_over_gf_p_reduces_each_coefficient_first(acceptance_pool):
     # x1 - x2 is x1 + 4*x2 in GF(5); on one part of weight 1 its only
     # coefficient is 5*t1, which is 0 there, so no coefficient reaches the
-    # test and no field mismatch is raised
-    assert member(parse("x1 - x2", GF(5)), prime_pool["diag1"])
+    # test and no field mismatch is raised, on allzero1's pinned part too
+    assert member(parse("x1 - x2", GF(5)), acceptance_pool["diag1"])
+    assert member(parse("x1 - x2", GF(5)), acceptance_pool["allzero1"])
 
 
 def test_member_fallback_reads_the_whole_coefficient():
@@ -589,3 +593,95 @@ def test_tied_walk_meets_every_orbit_of_both_symmetries(acceptance_pool, key, f)
     # the tied walk keeps some leaves of the walk by classes, in its order
     assert walked == [path for path in plain if path in set(walked)]
     assert _orbit_leaders_met(jets.xs, p.shape, classes, ties, walked)
+
+
+# Primes whose locus fixes coordinates, with the pins member reads off the
+# reduced basis: t_alpha - c pins part alpha to c.  half2's 2*t1 - 1 pins
+# nothing (its lc is 2), nor does line1's t1 + t2 - 1.  square is
+# (inf,inf;1,2) with Z = (t1^2, t2 - 1), canonically (inf,inf;2,1) with
+# Z = (t2^2, t1 - 1): a pin next to the head t2^2, which is not squarefree,
+# so the radical fallback runs.
+PINNED = {
+    "allzero5": (([INF], [5], ["t1"]), (0,)),
+    "one2": (([INF], [2], ["t1 - 1"]), (1,)),
+    "fin31": (([INF, 1], [3, 1], ["t1"]), (0, None)),
+    "point": (([INF, INF], [1, 1], ["t1 - 1", "t2 + 1"]), (1, -1)),
+    "q3pts": (([INF, 1, 1], [1, 1, 1], ["t1", "t2 - 1", "t3 - 2"]), (0, 1, 2)),
+    "half2": (([INF], [2], ["2*t1 - 1"]), (None,)),
+    "line1": (([INF, INF], [1, 1], ["t1 + t2 - 1"]), (None, None)),
+    "square": (([INF, INF], [1, 2], ["t1^2", "t2 - 1"]), (1, None)),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_pool():
+    return {key: make_sprime(parts, weights, [parse(s) for s in z])
+            for key, ((parts, weights, z), _) in PINNED.items()}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_pins_are_read_off_the_reduced_basis(pinned_pool, key):
+    p = pinned_pool[key]
+    r = p.shape.r
+    basis = packed_basis(sprime.saturated_ideal(p), [tvar(a) for a in range(1, r + 1)])
+    assert sprime._pins(p, basis) == PINNED[key][1]
+
+
+@st.composite
+def pinned_cases(draw):
+    key = draw(st.sampled_from(sorted(PINNED)))
+    n = draw(st.integers(1, 3))
+    monomial = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(
+        lambda exps: tuple((xvar(i + 1), k) for i, k in enumerate(exps) if k))
+    f = Poly.from_terms(draw(st.lists(st.tuples(monomial, st.integers(-3, 3)),
+                                      min_size=1, max_size=4)), QQ)
+    # factors that vanish at the pinned coordinates or on the diagonals,
+    # so that members are drawn as well
+    factor = draw(st.sampled_from(["1", "x1", "x1 - 1", "(x1 - 1)*(x1 + 1)", "2*x1 - 1",
+                                   "x1*(x1 - 1)*(x1 - 2)", "x1 - x2"]))
+    return key, f * parse(factor) ** draw(st.integers(1, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pinned_cases())
+def test_pinned_member_agrees_with_every_leaf_and_the_derivatives(pinned_pool, case):
+    key, f = case
+    assume(not f.is_zero())
+    p = pinned_pool[key]
+    verdict = member(f, p)
+    assert verdict == _leafwise_member(f, p, part_classes(p))
+    if _derivatives(f, p) <= 100:
+        assert verdict == member_via_derivatives(f, p)
+
+
+@pytest.mark.parametrize("key,text,verdict", [
+    ("allzero5", "x1^5", True), ("allzero5", "x1^4*x2", False),
+    ("one2", "(x1 - 1)^2*x2", True), ("one2", "(x1 - 1)*(x2 - 1)", False),
+    ("fin31", "x1^3*x2^3", True), ("fin31", "x1^3*x2^2", False),
+    ("point", "(x1 - 1)*(x1 + 1)", True), ("point", "(x1 - 1)*(x2 - 1)", False),
+    ("q3pts", "x1*(x1 - 1)*(x1 - 2)", True), ("q3pts", "x1*(x1 - 1)", False),
+    ("half2", "(2*x1 - 1)^2", True), ("half2", "2*x1 - 1", False),
+    ("square", "x1*(x1 - 1)^2", True), ("square", "x1^2*(x1 - 1)", False),
+])
+def test_pinned_member_on_fixed_polynomials(pinned_pool, key, text, verdict):
+    p, f = pinned_pool[key], parse(text)
+    assert member(f, p) == _leafwise_member(f, p, part_classes(p)) == verdict
+    assert member_via_derivatives(f, p) == verdict
+
+
+@pytest.mark.parametrize("text,verdict,terms", [
+    # unpinned, x -> t1 + e carried 133 and 95 terms through the steps
+    ("(x1 - x2)^2*(x2 - x3)^2*(x1 - x3)^2", False, 57),
+    ("x1^5 + x2^5*(x1 - x3)^3", True, 4),
+])
+def test_pinned_steps_carry_fewer_terms(acceptance_pool, monkeypatch, text, verdict, terms):
+    counted = [0]
+    real = sprime._Jets.step
+
+    def step(self, *args):
+        out = real(self, *args)
+        counted[0] += len(out)
+        return out
+    monkeypatch.setattr(sprime._Jets, "step", step)
+    assert member(parse(text), acceptance_pool["allzero5"]) is verdict
+    assert counted[0] == terms
