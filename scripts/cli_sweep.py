@@ -67,8 +67,7 @@ POOL = {
     "q3pts": (["inf", 1, 1], [1, 1, 1], ["t1", "t2-1", "t3-2"]),
 }
 
-# primes whose `contain` against itself meets 5040 good pairs; loading
-# sum7 saturates at the 7-point discriminant, the sweep's slowest step
+# primes whose `contain` against itself meets 5040 good pairs
 SEVEN = {"free7": (["inf"] * 7, [1] * 7, []),
          "sum7": (["inf"] * 7, [1] * 7, ["+".join("t%d" % i for i in range(1, 8)) + "-1"])}
 

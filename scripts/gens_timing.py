@@ -1,6 +1,6 @@
 """Timing of the generator path: `full_gens` and the print of its
-generators, and the `witness` and `psi0` commands of perfbench's
-contain_cli stream.
+generators, the `witness` and `psi0` commands of perfbench's contain_cli
+stream, and loading the sum primes of 6, 7 and 8 parts.
 
     python3 scripts/gens_timing.py
     python3 scripts/gens_timing.py --repeats 5 --seed 1
@@ -16,6 +16,10 @@ empty library caches, as a one-shot `symprime gens` does.
   through `symprime.cli.main` in one process over that workload's problem
   files: one untimed pass fills the caches, as contain_cli's warm-up does,
   then each timed pass runs every command of the kind once.
+- `make_sprime` of the prime with r parts of weight 1 and Z = (t1 + ... +
+  tr - 1), r = 6, 7, 8, each run in a fresh process capped at 60 s and
+  2 GB of address space; the hash is over the saturated basis.  A prime
+  whose load runs past the cap is reported once and not run again.
 
 Per line it prints the least and median time over --repeats runs, every
 run, and a sha256 of the outputs (the printed generators; the exit codes
@@ -25,7 +29,9 @@ equal hashes mean equal output.
 
 import argparse
 import hashlib
+import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -40,6 +46,24 @@ from workloads import common  # noqa: E402
 
 PRIMES = ("fin31", "q3pts", "circle22", "free22", "mixed21")
 KINDS = ("witness", "psi0")
+SUM_PARTS = (6, 7, 8)
+LOAD_CAP_S = 60
+
+# run in a fresh process with argv[1] = r; prints the load time and the
+# sha256 of the saturated basis
+LOAD_SUM = """
+import hashlib, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from symprime import INF, make_sprime, parse
+from symprime.sprime import saturated_ideal
+r = int(sys.argv[1])
+z = parse("+".join("t%d" % i for i in range(1, r + 1)) + " - 1")
+t0 = time.perf_counter()
+p = make_sprime([INF] * r, [1] * r, [z])
+elapsed = time.perf_counter() - t0
+text = "\\n".join(str(g) for g in saturated_ideal(p).gens)
+print(elapsed, hashlib.sha256(text.encode()).hexdigest())
+"""
 
 
 def time_gens(name, repeats):
@@ -73,6 +97,24 @@ def time_commands(seed, repeats, workdir):
     return out
 
 
+def time_sum_load(r, repeats):
+    """(times, digests), or a reason when a load ran out of time or memory."""
+    times, digests = [], set()
+    for _ in range(repeats):
+        try:
+            run = subprocess.run([sys.executable, "-c", LOAD_SUM, str(r)], cwd=ROOT,
+                                 env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                                 capture_output=True, text=True, timeout=LOAD_CAP_S)
+        except subprocess.TimeoutExpired:
+            return "did not load within %d s" % LOAD_CAP_S
+        if run.returncode:
+            return "exited %d: %s" % (run.returncode, run.stderr.strip().rsplit("\n", 1)[-1])
+        elapsed, digest = run.stdout.split()
+        times.append(float(elapsed))
+        digests.add(digest)
+    return times, digests
+
+
 def report(label, times, digests, count, noun, unit):
     scale = {"s": 1.0, "ms": 1e3}[unit]
     runs = ", ".join("%.3f" % (t * scale) for t in times)
@@ -97,6 +139,12 @@ def main():
         results = time_commands(args.seed, args.repeats, Path(tmp))
     for kind in KINDS:
         report(kind, *results[kind], "commands", "ms")
+    for r in SUM_PARTS:
+        loaded = time_sum_load(r, args.repeats)
+        if isinstance(loaded, str):
+            print("sum%d     %s" % (r, loaded))
+        else:
+            report("sum%d" % r, *loaded, r, "parts", "s")
 
 
 if __name__ == "__main__":

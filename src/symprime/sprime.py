@@ -11,7 +11,10 @@ placements are walked as a tree, one variable per level: x_i -> t_alpha + e_i
 is substituted into the parent's expansion, so a shared prefix of placements
 is expanded once and terms cancel at the level where they meet.  The
 expansion runs on ints (f's coefficients over their common denominator, or
-unreduced residues mod p).  A leaf is read out one way, `_Jets.groups`:
+unreduced residues mod p) in packed keys: the t-fields, then one (e, x)
+field pair per level, so a level's step table (`_moves`) depends only on
+the field width, r, the level and its part, and polynomials of every
+window size share it.  A leaf is read out one way, `_Jets.groups`:
 its t-parts move into a packed layout over t1..tr, grouped by e-part.
 `member` reads them in the layout of the saturated ideal's reduced basis
 and divides each coefficient there as a multiple of itself, never dividing
@@ -45,11 +48,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .combinat import INF, WeightedShape, canonicalize, json_parts_weights
-from .groebner import (DEFAULT_BUDGET, BudgetExceededError, Ideal, ideal_member,
-                       is_unit_ideal, packed_basis, radical_member, reduces_to_zero,
-                       saturate)
-from .poly import (InputError, MonomialOrder, PackedLayout, Poly, QQ, discriminant,
-                   divide_out, evar, parse, tvar)
+from .groebner import (DEFAULT_BUDGET, BudgetExceededError, Ideal, groebner_basis,
+                       ideal_member, is_unit_ideal, packed_basis, radical_member,
+                       reduces_to_zero, saturate)
+from .poly import (InputError, MonomialOrder, PackedLayout, Poly, QQ, divide_out, evar,
+                   parse, tvar)
 
 
 @dataclass(frozen=True)
@@ -104,7 +107,14 @@ def radical_of(p):
 
 @lru_cache(maxsize=None)
 def _saturated(z_ideal, r):
-    return saturate(z_ideal, discriminant(range(1, r + 1), "t", z_ideal.field))
+    """z_ideal saturated at each t_i - t_j, i < j, in turn: its saturation
+    at their product, as I : (fg)^inf = (I : f^inf) : g^inf (Cox, Little
+    and O'Shea, Ideals, Varieties, and Algorithms, ch. 4 sec. 4)."""
+    ts = [Poly.variable(tvar(alpha), z_ideal.field) for alpha in range(1, r + 1)]
+    sat = z_ideal
+    for ti, tj in itertools.combinations(ts, 2):
+        sat = saturate(sat, ti - tj)
+    return sat
 
 
 def saturated_ideal(p):
@@ -144,54 +154,43 @@ def _x_window(f):
 
 
 def _decode(packed, width, xs):
-    """The e-monomial whose exponent of e_xs[k] is bit field k of packed."""
+    """The e-monomial whose exponent of e_xs[k] is bit field 2k of packed,
+    an e-part of `_Jets.groups` (each level's e-field, then its x-field)."""
     mask = (1 << width) - 1
     mono = []
     for i in xs:
         if packed & mask:
             mono.append((evar(i), packed & mask))
-        packed >>= width
+        packed >>= 2 * width
     return tuple(mono)
 
 
-class _Moves(dict):
-    """The step x_xs[level] -> t_alpha + e, e^weight truncated, on `_Jets`
-    keys of width w: moves[k], built on first use, holds for x-exponent k
-    the pairs (key offset, C(k, j)), j < weight, j <= k, the offset taking
-    the key's x^k to t_alpha^(k-j) * e^j.  A term's k is its field at
-    `x_shift` under `mask`.  With a pin c (an int) the step is x -> c + e:
-    the offset takes x^k to e^j and the factor is C(k, j) * c^(k-j), zero
-    factors dropped, so at c = 0 only j = k < weight is left."""
-
-    __slots__ = ("x_shift", "mask", "_unit", "_e_step", "_weight", "_c")
-
-    def __init__(self, w, x_shift, t_shift, e_shift, weight, pin):
-        super().__init__()
-        self.x_shift, self.mask, self._weight = x_shift, (1 << w) - 1, weight
-        # unpinned, t_alpha^(k-j) stays in the key and the factor is C(k, j)
-        t, self._c = (1 << t_shift, 1) if pin is None else (0, pin)
-        self._unit = t - (1 << x_shift)    # x^1 -> t_alpha^1
-        self._e_step = (1 << e_shift) - t  # t_alpha^1 -> e^1
-
-    def __missing__(self, k):
-        base, step, c = k * self._unit, self._e_step, self._c
-        out = self[k] = tuple((base + j * step, b) for j in range(min(k + 1, self._weight))
-                              if (b := math.comb(k, j) * c ** (k - j)))
-        return out
-
-
 @lru_cache(maxsize=4096)
-def _moves(w, r, n, level, alpha, weight, pin):
-    """The `_Moves` of level, alpha and pin for keys of width w over r
-    parts and n window variables, shared by every f of that layout."""
-    return _Moves(w, (r + n + level) * w, (alpha - 1) * w, (r + level) * w, weight, pin)
+def _moves(w, r, level, alpha, weight, pin):
+    """The step x_xs[level] -> t_alpha + e, e^weight truncated, on `_Jets`
+    keys of width w over r parts: row k, for every k < 2**w, holds for
+    x-exponent k the pairs (key offset, C(k, j)), j < weight, j <= k, the
+    offset taking the key's x^k to t_alpha^(k-j) * e^j.  With a pin c (an
+    int) the step is x -> c + e: the offset takes x^k to e^j and the factor
+    is C(k, j) * c^(k-j), zero factors dropped, so at c = 0 only j = k <
+    weight is left.  A level's fields sit at the same bits for every window
+    size, so every f with keys of width w shares the table."""
+    e_shift = (r + 2 * level) * w
+    # unpinned, t_alpha^(k-j) stays in the key and the factor is C(k, j)
+    t, c = (1 << (alpha - 1) * w, 1) if pin is None else (0, pin)
+    unit = t - (1 << e_shift + w)  # x^1 -> t_alpha^1
+    e_step = (1 << e_shift) - t    # t_alpha^1 -> e^1
+    return tuple(tuple((k * unit + j * e_step, b) for j in range(min(k + 1, weight))
+                       if (b := math.comb(k, j) * c ** (k - j)))
+                 for k in range(1 << w))
 
 
 def _swapped_into(root, image, lo, w):
-    """True iff exchanging the w-bit fields at bits lo and lo + w of every
-    key of root gives a key that image maps to the key's coefficient."""
+    """True iff exchanging the w-bit fields at bits lo and lo + 2w (the
+    x-fields of two adjacent levels) of every key of root gives a key that
+    image maps to the key's coefficient."""
     mask = (1 << w) - 1
-    hi = lo + w
+    hi = lo + 2 * w
     move = (1 << lo) - (1 << hi)  # times b - a: field lo gains b - a, field hi a - b
     get = image.get
     for key, c in root.items():
@@ -212,16 +211,17 @@ class _Jets:
     A state maps packed keys to nonzero int coefficients: f's coefficients
     times their common denominator `den` over QQ, unreduced residues over
     GF(p).  A key has one bit field of `width` bits per part (t-exponents,
-    part alpha in field alpha - 1), then one per window variable for its
-    e-exponent, then one per window variable for the x-exponent still to be
-    substituted.  No field exceeds deg f, so `width` bits hold it.  The
-    window is `_x_window(f)`.  A step moves each term that holds its
+    part alpha in field alpha - 1), then per window variable, level by
+    level, a field for its e-exponent and a field for the x-exponent still
+    to be substituted.  No field exceeds deg f, so `width` bits hold it.
+    The window is `_x_window(f)`.  A step moves each term that holds its
     level's variable by the offsets of a `_moves` table, shared by every f
-    of the same key layout, and copies the others.  A leaf's t-parts are
-    read out in `layout`, a `PackedLayout` over t1..tr that holds deg f.
-    `pins` holds per part None or an int c; a variable placed in a part
-    with a pin c is substituted x_i -> c + e_i, so that part's t-field
-    stays 0 (`member`'s `_pins`).  Without pins every part keeps t_alpha.
+    of the same width and part count, and copies the others.  A leaf's
+    t-parts are read out in `layout`, a `PackedLayout` over t1..tr that
+    holds deg f.  `pins` holds per part None or an int c; a variable
+    placed in a part with a pin c is substituted x_i -> c + e_i, so that
+    part's t-field stays 0 (`member`'s `_pins`).  Without pins every part
+    keeps t_alpha.
     """
 
     def __init__(self, f, window, r, layout, pins=None):
@@ -229,10 +229,8 @@ class _Jets:
         self.xs, degree, self.den = window
         den = self.den
         self.width = w = max(degree, 1).bit_length()
-        self.e_base = r * w
-        self.x_base = (r + len(self.xs)) * w
-        self._dims = (w, r, len(self.xs))
-        shift = {i: self.x_base + w * ell for ell, i in enumerate(self.xs)}
+        self.r, self.e_base = r, r * w
+        shift = {i: (r + 2 * ell + 1) * w for ell, i in enumerate(self.xs)}
         self.root = root = {}
         for mono, c in f.terms.items():
             key = 0
@@ -252,7 +250,7 @@ class _Jets:
         negated = None
         out = []
         for level in range(1, len(self.xs)):
-            lo = self.x_base + w * (level - 1)
+            lo = self.e_base + (2 * level - 1) * w  # level - 1's x-field
             if _swapped_into(root, root, lo, w):
                 out.append(level)
                 continue
@@ -266,8 +264,9 @@ class _Jets:
         """State after substituting x_xs[level] -> t_alpha + e (c + e when
         alpha is pinned to c), truncated at e^weight.  Terms that meet are
         summed, and cancel, here."""
-        moves = _moves(*self._dims, level, alpha, weight, self._pins[alpha - 1])
-        x_shift, mask = moves.x_shift, moves.mask
+        w = self.width
+        moves = _moves(w, self.r, level, alpha, weight, self._pins[alpha - 1])
+        x_shift, mask = self.e_base + (2 * level + 1) * w, (1 << w) - 1
         out = {}
         get = out.get
         for key, c in state.items():
@@ -319,25 +318,24 @@ class _Jets:
         return Poly(self.field, {unpack(m): c for m, c in terms.items()})
 
 
-def _pins(p, basis):
+def _pins(p):
     """Per part of p, the int c when the reduced basis of saturated_ideal(p)
-    holds t_alpha - c, else None; `basis` is a `packed_basis` entry of
-    that ideal over t1..tr.  Such an element is a head whose leading
-    monomial is t_alpha, with lc 1 and no other term but a constant, so
-    2*t1 - 1 pins nothing.  Computed once per prime and kept on p, like
-    `part_classes`; the pins do not depend on the layout's degree bound.
+    holds t_alpha - c, else None: a generator whose only nonconstant term
+    is t_alpha, with coefficient 1, and whose constant is an int, so
+    2*t1 - 1 (t1 - 1/2 reduced) pins nothing.  Computed once per prime
+    and kept on p, like `part_classes`.
     """
     pins = p.__dict__.get("_pins")
     if pins is not None:
         return pins
-    layout, heads, _ = basis
     r = p.shape.r
-    parts = {unit: alpha for alpha, unit in enumerate(_t_units(layout, r))}
+    units = {Poly.variable(tvar(alpha)): alpha for alpha in range(1, r + 1)}
     pins = [None] * r
-    for lm, lc, tail in heads:
-        alpha = parts.get(lm)
-        if alpha is not None and lc == 1 and (not tail or len(tail) == 1 and not tail[0][0]):
-            pins[alpha] = -tail[0][1] if tail else 0
+    for g in groebner_basis(saturated_ideal(p)).gens:
+        c = g.terms.get((), 0)
+        alpha = units.get(g - c)
+        if alpha and type(c) is int:
+            pins[alpha - 1] = -c
     pins = p.__dict__["_pins"] = tuple(pins)
     return pins
 
@@ -520,7 +518,7 @@ def member(f, p, budget=None):
         raise BudgetExceededError("degree %d exceeds budget" % degree)
     classes = part_classes(p, budget)
     char = f.field.char
-    jets = _Jets(f, window, r, layout, _pins(p, basis) if char == sat.field.char else None)
+    jets = _Jets(f, window, r, layout, _pins(p) if char == sat.field.char else None)
     for _path, state in _walk(jets, p.shape, classes, jets.ties() if r > 1 else ()):
         for work in jets.groups(state).values():
             if char != sat.field.char:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 import warnings
 
 import pytest
@@ -11,10 +12,10 @@ from hypothesis import assume, given, settings, strategies as st
 from symprime import sprime
 from symprime.combinat import INF, shape
 from symprime.generators import full_gens
-from symprime.groebner import (Budget, BudgetExceededError, Ideal, packed_basis,
-                               radical_member)
-from symprime.poly import (GF, InputError, MonomialOrder, PackedLayout, Poly, QQ, parse,
-                           tvar, xvar)
+from symprime.groebner import (Budget, BudgetExceededError, Ideal, groebner_basis,
+                               radical_member, saturate)
+from symprime.poly import (GF, InputError, MonomialOrder, PackedLayout, Poly, QQ,
+                           discriminant, parse, tvar, xvar)
 from symprime.sprime import (SPrimeData, assignments, make_sprime, member,
                              placement_jets,
                              member_via_derivatives, part_classes, radical_of)
@@ -332,6 +333,34 @@ def test_one_part_prime_is_its_own_saturation(gens):
     assert sprime.saturated_ideal(p) is p.z_ideal
 
 
+# (r, Z) of loci with components on the diagonals, which the saturation
+# removes
+DIAGONAL_LOCI = (
+    (2, ["(t1 - t2)^3*(t1^2 + t2^2 - 1)"]),
+    (3, ["(t1 - t2)*(t1 - t3)*(t2 - t3)*(t1 + t2 + t3 - 1)"]),
+    (3, ["(t1 - t2)^2*t3", "(t2 - t3)*(t1 - 1)"]),
+)
+
+
+def test_saturating_pair_by_pair_gives_the_product_saturation(acceptance_pool):
+    # the reference saturates at the whole difference product at once
+    diagonal = [make_sprime([INF] * r, [1] * r, [parse(g) for g in z])
+                for r, z in DIAGONAL_LOCI]
+    for p in diagonal:
+        assert sprime.saturated_ideal(p) != groebner_basis(p.z_ideal)
+    for p in list(acceptance_pool.values()) + diagonal:
+        whole = saturate(p.z_ideal, discriminant(range(1, p.shape.r + 1), "t"))
+        assert groebner_basis(sprime.saturated_ideal(p)) == groebner_basis(whole), p
+
+
+def test_eight_part_sum_prime_loads_in_under_a_second():
+    # at the 28-factor difference product the 7-part one took about 15 s
+    sprime._saturated.cache_clear()
+    t0 = time.perf_counter()
+    make_sprime([INF] * 8, [1] * 8, [parse("+".join("t%d" % i for i in range(1, 9)) + " - 1")])
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_asymmetric_locus_walks_every_placement(walk_counts):
     p = make_sprime([INF, INF], [2, 2], [parse("t2 - t1^2")])
     # each of the last two factors vanishes on the locus under one of the
@@ -622,9 +651,7 @@ def pinned_pool():
 @pytest.mark.parametrize("key", sorted(PINNED))
 def test_pins_are_read_off_the_reduced_basis(pinned_pool, key):
     p = pinned_pool[key]
-    r = p.shape.r
-    basis = packed_basis(sprime.saturated_ideal(p), [tvar(a) for a in range(1, r + 1)])
-    assert sprime._pins(p, basis) == PINNED[key][1]
+    assert sprime._pins(p) == PINNED[key][1]
 
 
 @st.composite
@@ -667,6 +694,28 @@ def test_pinned_member_on_fixed_polynomials(pinned_pool, key, text, verdict):
     p, f = pinned_pool[key], parse(text)
     assert member(f, p) == _leafwise_member(f, p, part_classes(p)) == verdict
     assert member_via_derivatives(f, p) == verdict
+
+
+def test_step_tables_are_shared_by_every_window_size(acceptance_pool, monkeypatch):
+    # x1*x2 and x1*x2*x3 have keys of the same width, so the second walk
+    # finds the tables of levels 0 and 1 that the first one built
+    real = sprime._moves
+    real.cache_clear()
+    missed = []
+
+    def moves(*key):
+        misses = real.cache_info().misses
+        out = real(*key)
+        if real.cache_info().misses > misses:
+            missed.append(key)
+        return out
+    monkeypatch.setattr(sprime, "_moves", moves)
+    free22 = acceptance_pool["free22"]
+    assert member(parse("x1*x2"), free22) is False
+    first = len(missed)
+    assert member(parse("x1*x2*x3"), free22) is False
+    levels = [level for _w, _r, level, *_ in missed[first:]]
+    assert levels and set(levels) == {2}
 
 
 @pytest.mark.parametrize("text,verdict,terms", [
