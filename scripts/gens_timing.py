@@ -17,9 +17,8 @@ empty library caches, as a one-shot `symprime gens` does.
   files: one untimed pass fills the caches, as contain_cli's warm-up does,
   then each timed pass runs every command of the kind once.
 - `make_sprime` of the prime with r parts of weight 1 and Z = (t1 + ... +
-  tr - 1), r = 6, 7, 8, each run in a fresh process capped at 60 s and
-  2 GB of address space; the hash is over the saturated basis.  A prime
-  whose load runs past the cap is reported once and not run again.
+  tr - 1), r = 6, 7, 8, each after a fresh import, as for `full_gens`; the
+  hash is over the saturated basis.
 
 Per line it prints the least and median time over --repeats runs, every
 run, and a sha256 of the outputs (the printed generators; the exit codes
@@ -29,9 +28,7 @@ equal hashes mean equal output.
 
 import argparse
 import hashlib
-import os
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -47,23 +44,6 @@ from workloads import common  # noqa: E402
 PRIMES = ("fin31", "q3pts", "circle22", "free22", "mixed21")
 KINDS = ("witness", "psi0")
 SUM_PARTS = (6, 7, 8)
-LOAD_CAP_S = 60
-
-# run in a fresh process with argv[1] = r; prints the load time and the
-# sha256 of the saturated basis
-LOAD_SUM = """
-import hashlib, resource, sys, time
-resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-from symprime import INF, make_sprime, parse
-from symprime.sprime import saturated_ideal
-r = int(sys.argv[1])
-z = parse("+".join("t%d" % i for i in range(1, r + 1)) + " - 1")
-t0 = time.perf_counter()
-p = make_sprime([INF] * r, [1] * r, [z])
-elapsed = time.perf_counter() - t0
-text = "\\n".join(str(g) for g in saturated_ideal(p).gens)
-print(elapsed, hashlib.sha256(text.encode()).hexdigest())
-"""
 
 
 def time_gens(name, repeats):
@@ -98,20 +78,15 @@ def time_commands(seed, repeats, workdir):
 
 
 def time_sum_load(r, repeats):
-    """(times, digests), or a reason when a load ran out of time or memory."""
     times, digests = [], set()
     for _ in range(repeats):
-        try:
-            run = subprocess.run([sys.executable, "-c", LOAD_SUM, str(r)], cwd=ROOT,
-                                 env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-                                 capture_output=True, text=True, timeout=LOAD_CAP_S)
-        except subprocess.TimeoutExpired:
-            return "did not load within %d s" % LOAD_CAP_S
-        if run.returncode:
-            return "exited %d: %s" % (run.returncode, run.stderr.strip().rsplit("\n", 1)[-1])
-        elapsed, digest = run.stdout.split()
-        times.append(float(elapsed))
-        digests.add(digest)
+        sym = harness.load_symprime()
+        z = sym.parse("+".join("t%d" % i for i in range(1, r + 1)) + " - 1")
+        t0 = time.perf_counter()
+        p = sym.make_sprime([sym.INF] * r, [1] * r, [z])
+        times.append(time.perf_counter() - t0)
+        text = "\n".join(str(g) for g in sym.sprime.saturated_ideal(p).gens)
+        digests.add(hashlib.sha256(text.encode()).hexdigest())
     return times, digests
 
 
@@ -140,11 +115,7 @@ def main():
     for kind in KINDS:
         report(kind, *results[kind], "commands", "ms")
     for r in SUM_PARTS:
-        loaded = time_sum_load(r, args.repeats)
-        if isinstance(loaded, str):
-            print("sum%d     %s" % (r, loaded))
-        else:
-            report("sum%d" % r, *loaded, r, "parts", "s")
+        report("sum%d" % r, *time_sum_load(r, args.repeats), r, "parts", "s")
 
 
 if __name__ == "__main__":

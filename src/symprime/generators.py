@@ -12,7 +12,7 @@ from .combinat import box_degenerations, good_pairs, psi0, shape_sort_key
 from .groebner import poly_divides
 from .poly import xvar
 from .sprime import member
-from .theta import projection_ideal
+from .theta import projection_ideal, theta_pair
 from .witness import witnesses
 
 
@@ -49,13 +49,12 @@ def _phi_targets(p, budget=None):
 
     The closure is the intersection of the good pairs' components; in a
     domain it is nonzero exactly when every component is, so no
-    intersection is computed.  A component is a projection ideal renamed,
-    and renaming cannot empty an ideal, so the projection is tested.
+    intersection is computed.
     """
     lam = p.shape
     cands = [cand for cand in box_degenerations(lam, lam.r, 1 + lam.finite_sum(),
                                                 lam.inf_weight_sum())
-             if all(projection_ideal(p, gp.domain, budget).gens
+             if all(theta_pair(p, cand, gp, budget).gens
                     for gp in good_pairs(cand, lam))]
     return sorted(cands, key=shape_sort_key)
 

@@ -192,13 +192,28 @@ def test_build_h_witness_is_a_locus_generator(prime_pool, gens_H_of, p_key, q_ke
 POOL = _pool()
 
 
-@pytest.mark.parametrize("key", sorted(POOL))
-def test_phi_targets_match_the_intersected_closure(key):
-    # _phi_targets asks only whether every good pair's component is
-    # nonzero; theta intersects the components and asks the same of that
-    p = POOL[key]
+def _closure_targets(p):
     lam = p.shape
     expected = [cand for cand in box_candidates(lam.r, 1 + lam.finite_sum(),
                                                 lam.inf_weight_sum())
                 if shape_leq(cand, lam) and theta(p, cand).ideal.gens]
-    assert _phi_targets(p) == sorted(expected, key=shape_sort_key)
+    return sorted(expected, key=shape_sort_key)
+
+
+@pytest.mark.parametrize("key", sorted(POOL))
+def test_phi_targets_match_the_intersected_closure(key):
+    # _phi_targets asks only whether every good pair's component is
+    # nonzero; theta intersects the components and asks the same of that
+    assert _phi_targets(POOL[key]) == _closure_targets(POOL[key])
+
+
+@pytest.mark.parametrize("z,merges", [
+    ("t1 - 2*t2 + t3", False), ("2*t1 - 3*t2 + t3", False), ("t1 + t2 - 2*t3", False),
+    ("t1 - 2*t2 + t3 - 1", True), ("t1 + t2 + t3", True)])
+def test_phi_targets_drop_a_target_whose_merge_empties_the_locus(z, merges):
+    # the one good pair onto (inf;3) merges all three parts, and renaming a
+    # linear locus whose t-coefficients sum to zero then gives the zero
+    # ideal, although the projection is not zero
+    p = make_sprime([INF] * 3, [1] * 3, [parse(z)])
+    assert (shape([INF], [3]) in _phi_targets(p)) == merges
+    assert _phi_targets(p) == _closure_targets(p)
