@@ -6,9 +6,9 @@ The parser is built once, at import.  Each command returns its report;
 
 Exit codes: 0 success (mathematical "false" answers included, except that
 contract-verify exits 1 on a failed verification), 2 input errors (an
-`InputError` from any layer, malformed problem files included, or a missing
-witness point), 3 budget exhaustion, 4 any other fault, reported as one
-`internal error` line on stderr.
+`InputError` from any layer, malformed problem files and negative budgets
+included, or a missing witness point), 3 budget exhaustion, 4 any other
+fault, reported as one `internal error` line on stderr.
 """
 
 import argparse
@@ -192,10 +192,19 @@ def _build_parser():
 PARSER = _build_parser()
 
 
+def _budget(args):
+    """The command line's budget; a negative one is an input error."""
+    for flag, value in (("--max-reductions", args.max_reductions),
+                        ("--max-degree", args.max_degree)):
+        if value < 0:
+            raise InputError("%s must be nonnegative, got %d" % (flag, value))
+    return Budget(max_reductions=args.max_reductions, max_degree=args.max_degree)
+
+
 def main(argv=None):
     args = PARSER.parse_args(argv)
-    budget = Budget(max_reductions=args.max_reductions, max_degree=args.max_degree)
     try:
+        budget = _budget(args)
         report = args.func(args, budget)
     except (InputError, NoWitnessError) as exc:
         print("error: %s" % exc, file=sys.stderr)

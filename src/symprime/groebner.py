@@ -9,10 +9,12 @@ the least lcm.  Every potentially unbounded computation is guarded by a
 resource budget and fails loudly instead of looping.
 
 Polynomials speak in sorted ((family, idx), exp) tuples.  Orders and the
-packed monomial layout live in `poly` (`MonomialOrder`, `PackedLayout`):
-every entry point packs each monomial into one int and unpacks on exit,
-so inside the kernel (after Monagan and Pearce, CASC 2007) int `<` is the
-order, `+` and `-` multiply and divide, and one mask tests divisibility.
+packed monomial layout live in `poly` (`MonomialOrder`, `PackedLayout`),
+one shared instance per key, so a call builds neither once its key has
+been seen.  Every entry point packs each monomial into one int and
+unpacks on exit, so inside the kernel (after Monagan and Pearce, CASC
+2007) int `<` is the order, `+` and `-` multiply and divide, and one mask
+tests divisibility.
 Division, one loop for every caller, exact divisibility included, works in
 place on a term dict: each step pops the leading term, found by `max` over
 the ints, and adds the matching multiple of the divisor's other terms.
@@ -61,6 +63,9 @@ class Ideal:
     order, on a reduced basis its packed heads with their squarefree flag,
     and the hash); cache writes are single idempotent assignments of a
     unique value, so concurrent use at worst recomputes the same value.
+    Ideals share their orders and packed layouts, which are never mutated
+    either.  The kernel builds its results with `_known`, which skips the
+    checks of `__init__`.
     """
 
     __slots__ = ("field", "gens", "ambient", "_gb", "_order", "_heads", "_hash")
@@ -74,9 +79,21 @@ class Ideal:
             if g.field.char != field.char:
                 raise ValueError("mixed coefficient fields in ideal")
             vs |= g.variables()
+        self._fill(gens, tuple(sorted(vs, key=var_key)), field)
+
+    @classmethod
+    def _known(cls, gens, ambient, field):
+        """The ideal of a tuple of nonzero polynomials over the field whose
+        variables lie in the ambient, a tuple in `var_key` order: what
+        `__init__` would build from them, without the scan."""
+        self = cls.__new__(cls)
+        self._fill(gens, ambient, field)
+        return self
+
+    def _fill(self, gens, ambient, field):
         self.field = field
         self.gens = gens
-        self.ambient = tuple(sorted(vs, key=var_key))
+        self.ambient = ambient
         self._gb = {}
         self._order = None
         self._heads = {}
@@ -157,11 +174,11 @@ def _packed_heads(basis, order, bound):
 def _pack_all(polys, order, bound):
     """(layout, [(packed terms, degree)] per poly): the layout is wide
     enough for the degree bound and for the inputs' degrees."""
-    layout = PackedLayout(order, bound)
+    layout = PackedLayout.shared(order, bound)
     packed = [layout.pack(g.terms) for g in polys]
     top = max(d for _, d in packed)
     if top > bound:
-        layout = PackedLayout(order, top)
+        layout = PackedLayout.shared(order, top)
         packed = [layout.pack(g.terms) for g in polys]
     return layout, packed
 
@@ -342,7 +359,8 @@ def groebner_basis(I, order=None, budget=None):
     order = order or I.default_order()
     if order not in I._gb:
         basis = _buchberger(list(I.gens), order, budget or DEFAULT_BUDGET)
-        result = Ideal(basis, ambient=I.ambient, field=I.field)
+        # a reduced basis is nonzero, over I's field and inside its ambient
+        result = Ideal._known(basis, I.ambient, I.field)
         result._gb[order] = result
         I._gb[order] = result
     return I._gb[order]
@@ -397,7 +415,7 @@ def packed_basis(I, variables=(), budget=None):
             unpack = layout.unpack
             squarefree = all(k == 1 for lm, _, _ in heads for _, k in unpack(lm))
         else:
-            layout, heads, squarefree = PackedLayout(order, budget.max_degree), [], True
+            layout, heads, squarefree = PackedLayout.shared(order, budget.max_degree), [], True
         entry = gb._heads[key] = (layout, heads, squarefree)
     return entry
 
@@ -444,18 +462,17 @@ def _rabinowitsch(I, f):
 def eliminate(I, drop, budget=None):
     """Ideal of polynomials in I avoiding the dropped variables; it arrives
     with its reduced basis cached in its default order."""
-    drop = tuple(sorted(set(drop), key=var_key))
+    dropped = set(drop)
+    drop = tuple(sorted(dropped, key=var_key))
     if not drop:
         return I
     missing = [v for v in drop if v not in I.ambient]
     if missing:
         raise ValueError("cannot eliminate variables outside the ambient: %r" % missing)
-    keep = tuple(v for v in I.ambient if v not in set(drop))
-    order = MonomialOrder.block(drop, keep)
-    gb = groebner_basis(I, order, budget)
-    dropped = set(drop)
-    gens = [g for g in gb.gens if not (g.variables() & dropped)]
-    result = Ideal(gens, ambient=keep, field=I.field)
+    keep = tuple(v for v in I.ambient if v not in dropped)
+    gb = groebner_basis(I, MonomialOrder.block(drop, keep), budget)
+    gens = tuple(g for g in gb.gens if not (g.variables() & dropped))
+    result = Ideal._known(gens, keep, I.field)
     # the block order restricts to grevlex on keep (Elimination Theorem)
     result._gb[result.default_order()] = result
     return result

@@ -258,9 +258,14 @@ class MonomialOrder:
     since comparing those is comparing (degree, -e(b_m), ..., -e(b_1)).
     A variable listed twice counts in its first place only.  `key` and the
     packed layout (`PackedLayout`) both read this table.
+
+    `grevlex`, `lex` and `block` return one shared instance per (kind,
+    blocks) from a bounded process-wide cache (`_order`), and nothing
+    mutates an order after `__init__`.  Its hash is computed there once,
+    since every per-order cache lookup hashes it.
     """
 
-    __slots__ = ("kind", "blocks", "_runs", "_width")
+    __slots__ = ("kind", "blocks", "_runs", "_width", "_hash")
 
     def __init__(self, kind, blocks):
         self.kind = kind
@@ -275,18 +280,19 @@ class MonomialOrder:
             width += m
         self._runs = runs
         self._width = width
+        self._hash = hash((kind, self.blocks))
 
     @classmethod
     def grevlex(cls, variables):
-        return cls("grevlex", (_sig(variables),))
+        return _order("grevlex", frozenset(variables))
 
     @classmethod
     def lex(cls, variables):
-        return cls("lex", (tuple(variables),))
+        return _order("lex", tuple(variables))
 
     @classmethod
     def block(cls, first, rest):
-        return cls("block", (_sig(first), _sig(rest)))
+        return _order("block", frozenset(first), frozenset(rest))
 
     def key(self, mono):
         """The key fields of a monomial, an int tuple that sorts monomials
@@ -309,14 +315,20 @@ class MonomialOrder:
                 and self.kind == other.kind and self.blocks == other.blocks)
 
     def __hash__(self):
-        return hash((self.kind, self.blocks))
+        return self._hash
 
     def __repr__(self):
         return "MonomialOrder(%s, %r)" % (self.kind, self.blocks)
 
 
-def _sig(variables):
-    return tuple(sorted(variables, key=var_key))
+@lru_cache(maxsize=256)
+def _order(kind, *parts):
+    """The shared order of a kind: over the sequence of variables of a lex
+    order, or over one set of variables per graded block.  Keyed by sets,
+    a hit sorts nothing (the canonical print looks up an order per call)."""
+    if kind != "lex":
+        parts = tuple(tuple(sorted(part, key=var_key)) for part in parts)
+    return MonomialOrder(kind, parts)
 
 
 def _outside(mono, known):
@@ -350,13 +362,17 @@ class PackedLayout:
     field is at most the degree, so the inner loops need no overflow check.
     A product needs only D = deg(a) + deg(b), and a division by one
     polynomial only D = deg(f).
+
+    The library takes every layout from `shared`, one instance per (order,
+    field width) from a bounded process-wide cache, and nothing mutates a
+    layout after `__init__`.
     """
 
     __slots__ = ("fields", "mask", "guard", "_units", "_unit_at",
                  "_exp_mask", "_exp_guard", "_width")
 
     def __init__(self, order, bound):
-        w = max(1, (3 * bound).bit_length())
+        w = _field_width(bound)
         f = w + 1
         runs = order._runs
         variables = sorted(runs, key=var_key)
@@ -378,6 +394,12 @@ class PackedLayout:
         self.fields = tuple((v, f * (i + 1)) for i, v in enumerate(variables))
         self._units = units
         self._unit_at = {f * (i + 2) - 1: units[v] for i, v in enumerate(variables)}
+
+    @staticmethod
+    def shared(order, bound):
+        """The shared layout of the order with room for the degree bound:
+        a layout depends only on its order and field width."""
+        return _shared_layout(order, _field_width(bound))
 
     def pack(self, terms):
         """([(packed monomial, coefficient)], largest degree) of a term dict."""
@@ -462,17 +484,21 @@ def _support(factors):
     return variables, degree
 
 
-def _canonical_layout(variables, degree):
-    """The packed layout of grevlex over the variables, the canonical
-    order, with room for the degree."""
-    return _layout_of(frozenset(variables), max(1, (3 * degree).bit_length()))
+def _field_width(bound):
+    """The bits of a packed field below its guard bit: 2**width > 3*bound."""
+    return max(1, (3 * bound).bit_length())
 
 
 @lru_cache(maxsize=256)
-def _layout_of(variables, width):
-    """The canonical layout of a variable set with fields of the given
-    width, shared by every polynomial of that support and degree range."""
-    return PackedLayout(MonomialOrder.grevlex(variables), ((1 << width) - 1) // 3)
+def _shared_layout(order, width):
+    """The layout of `PackedLayout.shared` for fields of the given width."""
+    return PackedLayout(order, ((1 << width) - 1) // 3)
+
+
+def _canonical_layout(variables, degree):
+    """The packed layout of grevlex over the variables, the canonical
+    order, with room for the degree."""
+    return PackedLayout.shared(MonomialOrder.grevlex(variables), degree)
 
 
 # ---------------------------------------------------------------------------

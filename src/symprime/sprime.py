@@ -402,7 +402,7 @@ def placement_jets(f, shape, classes=()):
     """
     window = _x_window(f)
     ts = [tvar(alpha) for alpha in range(1, shape.r + 1)]
-    jets = _Jets(f, window, shape.r, PackedLayout(MonomialOrder.grevlex(ts), window[1]))
+    jets = _Jets(f, window, shape.r, PackedLayout.shared(MonomialOrder.grevlex(ts), window[1]))
     xs, w = jets.xs, jets.width
     return ((dict(zip(xs, path)), {_decode(e_part, w, xs): jets.poly(group)
                                    for e_part, group in jets.groups(state).items()})

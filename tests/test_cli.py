@@ -367,6 +367,37 @@ def test_budget_exit_code(capsys):
     capsys.readouterr()
 
 
+BUDGET_COMMANDS = [
+    ["contain", "{line}", "{origin2}"],
+    ["theta", "{circle}", "--lambda", "inf", "--e", "3"],
+    ["member", "{origin2}", "--poly", "x1^2"],
+    ["gens", "{origin2}"],
+    ["psi0", "--lambda", "inf,inf", "--e", "2,2"],
+    ["witness", "{line}", "--lambda", "inf", "--e", "3"],
+    ["contract-verify", "-n", "2", "-q", "2,2"],
+    ["radical", "{origin2}"],
+    ["spectrum-slice", "{circle}", "--target", "inf;3"],
+]
+
+
+@pytest.mark.parametrize("flag", ["--max-reductions", "--max-degree"])
+@pytest.mark.parametrize("argv", BUDGET_COMMANDS, ids=lambda argv: argv[0])
+def test_negative_budgets_exit_2_before_the_command_runs(problem_files, capsys, monkeypatch,
+                                                         argv, flag):
+    argv = [arg.format(**problem_files) for arg in argv]
+    loads = []
+    monkeypatch.setattr("symprime.cli._load_prime", lambda path: loads.append(path))
+    assert main(argv + [flag, "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s must be nonnegative, got -1\n" % flag
+    assert loads == []
+    # a budget of 0 is a budget: the command runs under it
+    monkeypatch.undo()
+    assert main(argv + [flag, "0"]) in (0, 3)
+    assert not capsys.readouterr().err.startswith("error:")
+
+
 def test_witness_respects_budget(capsys, tmp_path):
     path = tmp_path / "line.json"
     path.write_text(json.dumps({"lambda": ["inf", "inf"], "e": [2, 1],
