@@ -28,13 +28,16 @@ output and exit code.
 Then it replays every command once more in the same process, over the
 same files, and prints how many records differ from their first run: a
 cache that outlives a command must not change what a later one reports.
-The hash covers the first round only.
+The hash covers the first round only.  Last it prints the hits, misses
+and size of every value memo after both rounds (`MEMOS`), so a sweep
+shows memo traffic.
 
     PYTHONPATH=src python3 scripts/cli_sweep.py
 """
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import sys
@@ -98,6 +101,9 @@ RADICALS = (("diag1", "diag2"), ("allzero1", "line0", "circle22"),
             ("free22", "fin31", "q3pts"))
 CONTRACTS = (("2", "2,2", "0"), ("3", "2,2,2", "0"), ("3", "3,3,3", "2"),
              ("4", "2,2,2,2", "0"), ("2", "3,3", "3"), ("1", "2", "0"))
+# (module, function) of the process-wide memos keyed by value
+MEMOS = (("theta", "theta"), ("theta", "_separator"), ("sprime", "_saturated"),
+         ("cli", "_prime_of_text"), ("combinat", "psi0"))
 NESTED = "(" * 5000 + "%s" + ")" * 5000
 # one walk level per window variable on a one-part prime
 WIDE = ["member", "diag1", "--poly", " + ".join("x%d" % i for i in range(1, 1201))]
@@ -205,6 +211,11 @@ def main():
               % (kind, s, json.dumps(codes), took, line))
     print("sha256 %s" % digest.hexdigest())
     print("replay %.2f s  records differing from the first run: %d" % (replay_s, differ))
+    for module, name in MEMOS:
+        # the module, not the package attribute: `symprime.theta` is the function
+        info = getattr(importlib.import_module("symprime." + module), name).cache_info()
+        print("memo %-24s hits %6d  misses %5d  size %5d"
+              % ("%s.%s" % (module, name), info.hits, info.misses, info.currsize))
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ build a `WeightedShape` only for the shapes they return; `shape_leq` and
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .poly import InputError
 
@@ -278,6 +279,7 @@ def _rank(pairs):
             sum(1 for p, _ in pairs if p == INF), sum(p for p, _ in pairs if p != INF))
 
 
+@lru_cache(maxsize=None)
 def psi0(base):
     """Minimal shapes that are not degenerations of base (a finite antichain).
 
@@ -289,6 +291,9 @@ def psi0(base):
     order keeps exactly the obstructions with no kept shape below them.
     The box is filtered, ranked and swept as (size, weight) pairs, and a
     shape is built only for each one kept.
+
+    Memoized by value, unbounded, like `theta.theta`: a shape is frozen
+    and hashes by value, so an equal base is served without a search.
     """
     b = _pairs(base)
     obstructions = [c for c in _box(base.r + 1, 1 + base.finite_sum(),

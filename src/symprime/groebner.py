@@ -450,12 +450,19 @@ def _fresh_z(*objs):
     return zvar(top + 1)
 
 
+def _merged(*ambients):
+    """The variables of several ambients, as one tuple in `var_key` order."""
+    return tuple(sorted(set().union(*ambients), key=var_key))
+
+
 def _rabinowitsch(I, f):
-    """(I + (1 - z*f), z) for a z-variable fresh to I and f."""
+    """(I + (1 - z*f), z) for a z-variable fresh to I and f.  Only the added
+    generator is scanned: 1 - z*f is nonzero, and I's generators lie in its
+    ambient."""
     z = _fresh_z(I, f)
     one = Poly.const(1, I.field)
-    J = Ideal(I.gens + (one - Poly.variable(z, I.field) * f,),
-              ambient=I.ambient + (z,), field=I.field)
+    J = Ideal._known(I.gens + (one - Poly.variable(z, I.field) * f,),
+                     _merged(I.ambient, (z,), f.variables()), I.field)
     return J, z
 
 
@@ -516,6 +523,7 @@ def ideal_intersect(I, J, budget=None):
     z = _fresh_z(I, J)
     zp = Poly.variable(z, I.field)
     one = Poly.const(1, I.field)
-    gens = [zp * g for g in I.gens] + [(one - zp) * h for h in J.gens]
-    K = Ideal(gens, ambient=I.ambient + J.ambient + (z,), field=I.field)
+    # nonzero multiples, by a fresh z, of generators inside their ambients
+    gens = tuple(zp * g for g in I.gens) + tuple((one - zp) * h for h in J.gens)
+    K = Ideal._known(gens, _merged(I.ambient, J.ambient, (z,)), I.field)
     return eliminate(K, (z,), budget)

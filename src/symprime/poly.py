@@ -504,6 +504,21 @@ def _canonical_layout(variables, degree):
 # ---------------------------------------------------------------------------
 # polynomials
 
+def _add_into(terms, more, field):
+    """Add the term dict `more` into the term dict `terms`, in place,
+    dropping the terms that cancel."""
+    add = field.add
+    for m, c in more.items():
+        if m in terms:
+            s = add(terms[m], c)
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+        else:
+            terms[m] = c
+
+
 class Poly:
     """Immutable sparse polynomial over a fixed coefficient field; its hash
     and its text are computed once, on first use.
@@ -576,18 +591,9 @@ class Poly:
 
     def __add__(self, other):
         other = self._lift(other)
-        f = self.field
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in terms:
-                s = f.add(terms[m], c)
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
-            else:
-                terms[m] = c
-        return Poly(f, terms)
+        _add_into(terms, other.terms, self.field)
+        return Poly(self.field, terms)
 
     def __neg__(self):
         f = self.field
@@ -874,12 +880,17 @@ class _Parser:
         return tok
 
     def parse_expr(self):
+        """A sum of terms, added into one dict: adding each term as a Poly
+        would copy the sum so far, quadratic in the number of terms."""
         node = self.parse_term()
+        if self.peek()[0] not in ("+", "-"):
+            return node  # one term: the Poly itself, with its `ordered` flag
+        terms = dict(node.terms)
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
             rhs = self.parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
+            _add_into(terms, (rhs if op == "+" else -rhs).terms, self.field)
+        return Poly(self.field, terms)
 
     def parse_term(self):
         node = self.parse_factor()

@@ -93,17 +93,33 @@ def contains(p, q, budget=None):
     """Decide whether the prime of p is contained in the prime of q.
 
     Returns a Containment carrying the degeneration ideal and, on failure,
-    a generator of it that does not vanish on q's locus.
+    a generator of it that does not vanish on q's locus.  Theta, q's
+    saturated ideal and the empty-target test run on every call; only the
+    scan of theta's generators is memoized (`_separator`).
     """
     th = theta(p, q.shape, budget)
     sat_q = saturated_ideal(q)
     if is_unit_ideal(sat_q, budget):
         warnings.warn("target locus is empty; containment holds vacuously")
         return Containment(True, th, None)
-    for g in th.ideal.gens:
+    separator = _separator(th.ideal, sat_q, budget)
+    return Containment(separator is None, th, separator)
+
+
+@lru_cache(maxsize=None)
+def _separator(theta_ideal, sat_q, budget):
+    """The first generator of theta_ideal outside the radical of sat_q, or
+    None when every one lies in it.
+
+    Memoized by value, unbounded, like `theta`: both ideals and the budget
+    hash by value, so a repeated containment check is served without a
+    division, and only under the budget that computed it.  A budget error
+    is not stored and is raised again by the next call.
+    """
+    for g in theta_ideal.gens:
         if not radical_member(g, sat_q, budget):
-            return Containment(False, th, g)
-    return Containment(True, th, None)
+            return g
+    return None
 
 
 def equal(p, q, budget=None):

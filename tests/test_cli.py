@@ -491,6 +491,24 @@ def test_tiny_budgets_exit_3_or_repeat_the_default_answer(tmp_path, capsys):
                     assert {k: report[k] for k in keys} == want, (p, q, budget)
 
 
+def test_a_small_budget_still_fails_after_the_default_succeeded(tmp_path, capsys):
+    # the first containment of seed 1 of the contain_cli benchmark that 5
+    # pair reductions refuse; theta and the generator scan are memoized,
+    # but each under the budget that computed it
+    s17 = tmp_path / "s17.json"
+    s17.write_text(json.dumps({"lambda": ["inf", "inf", 1], "e": [2, 1, 1],
+                               "Z": ["t1 - 2", "t2 + 1", "t3 + 2"]}))
+    circle11 = tmp_path / "circle11.json"
+    circle11.write_text(json.dumps({"lambda": ["inf", "inf"], "e": [1, 1],
+                                    "Z": ["t1^2+t2^2-1"]}))
+    argv = ["contain", str(s17), str(circle11)]
+    for _ in range(2):
+        code, report = run(capsys, *argv)
+        assert (code, report["contains"], report["separator"]) == (0, False, "t1 + t2 - 1")
+        assert main(argv + ["--max-reductions", "5"]) == 3
+        assert capsys.readouterr().err.startswith("budget exhausted:")
+
+
 def test_member_checks_the_degree_budget_before_the_walk(tmp_path, capsys, monkeypatch):
     # on a free prime no division ever sees f's degree; without the check
     # the walk built deg f + 1 binomial rows first (x1^3000000 exited 0)

@@ -279,9 +279,12 @@ def test_psi0_shape_leq_calls(monkeypatch):
 
     # psi0 runs the search on (size, weight) pairs, not through shape_leq
     monkeypatch.setattr(combinat, "_leq", counting)
-    psi0(shape([INF, INF], [2, 2]))
+    psi0.cache_clear()  # count a fresh search, not a memo hit
+    out = psi0(shape([INF, INF], [2, 2]))
     # testing every obstruction against every other one took 753 calls
     assert len(calls) == 165
+    # an equal base is served by the memo
+    assert psi0(shape([INF, INF], [2, 2])) is out and len(calls) == 165
 
 
 def _shape_rank(s):

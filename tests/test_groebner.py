@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from symprime import groebner
 from symprime.contractlab import contract_ideal
 from symprime.groebner import (DEFAULT_BUDGET, Budget, BudgetExceededError,
                                Ideal, MonomialOrder, eliminate, groebner_basis,
@@ -180,6 +181,35 @@ def test_auxiliary_variable_is_fresh_to_a_z_already_present():
     assert not radical_member(t1 + 2, Ideal([t1 ** 2, z1 - 1]))
     assert saturate(Ideal([z1 - t1]), t1).gens == (t1 - z1,)
     assert ideal_intersect(Ideal([z1]), Ideal([t1])).gens == (t1 * z1,)
+
+
+def _parts(I):
+    return I.gens, I.ambient, I.field
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+def test_auxiliary_ideals_are_the_ideals_init_builds(field, monkeypatch):
+    # _rabinowitsch and ideal_intersect skip Ideal.__init__'s scan of the
+    # generators they already know; f may bring variables of its own
+    z1, z3 = Poly.variable(zvar(1), field), Poly.variable(zvar(3), field)
+    I = Ideal([parse("t1^2", field) + z1, parse("t2*t3 - 1", field)], field=field)
+    J = Ideal([parse(s, field) for s in ("x2*t1", "e1 + t4")], field=field)
+    one = Poly.const(1, field)
+    for f in [parse(s, field) for s in ("0", "3", "t1 - t2", "x1*e2 + t3")] + [
+            parse("t1", field) * z3 - parse("x2", field)]:
+        aux, z = groebner._rabinowitsch(I, f)
+        want = Ideal(I.gens + (one - Poly.variable(z, field) * f,),
+                     ambient=I.ambient + (z,), field=field)
+        assert _parts(aux) == _parts(want), str(f)
+    seen = []
+    monkeypatch.setattr(groebner, "eliminate", lambda K, drop, budget: seen.append(K))
+    for a, b in ((I, J), (J, I), (I, Ideal([], field=field))):
+        seen.clear()
+        ideal_intersect(a, b)
+        zp = Poly.variable(groebner._fresh_z(a, b), field)
+        want = Ideal([zp * g for g in a.gens] + [(one - zp) * h for h in b.gens],
+                     ambient=a.ambient + b.ambient + (zp.variables().pop(),), field=field)
+        assert [_parts(K) for K in seen] == [_parts(want)]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])

@@ -117,6 +117,43 @@ def test_roundtrip_gf(seed):
     assert parse(str(f), field=GF(7)) == f
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("seed", range(10))
+def test_a_sum_parses_as_its_terms_added_in_turn(field, seed):
+    # same terms in the same dict order as adding each parsed term as a
+    # Poly; repeated summands make terms cancel and come back
+    rng = random.Random(4000 + seed)
+    pool = [parse(str(_random_poly(rng, field=field)), field) for _ in range(3)]
+    summands = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+    ops = [rng.choice("+-") for _ in summands[1:]]
+    text = "(%s)" % summands[0] + "".join(" %s (%s)" % (op, g)
+                                          for op, g in zip(ops, summands[1:]))
+    want = summands[0]
+    for op, g in zip(ops, summands[1:]):
+        want = want + g if op == "+" else want - g
+    got = parse(text, field)
+    assert list(got.terms.items()) == list(want.terms.items()), text
+
+
+def test_a_long_sum_is_not_added_one_poly_per_term(monkeypatch):
+    # adding each term as a Poly copied the sum so far: parsing the print
+    # of the 7080-term product over i < j <= 5 took about a second, and a
+    # 56,183-term print about 27 s
+    v = [Poly.variable(xvar(i)) for i in range(1, 5)]
+    f = poly.product([(a - b) ** 3 for a, b in itertools.combinations(v, 2)])
+    text = str(f)
+    adds = []
+    add = Poly.__add__
+
+    def counted(self, other):
+        adds.append(other)
+        return add(self, other)
+    monkeypatch.setattr(Poly, "__add__", counted)
+    g = parse(text)
+    assert len(f.terms) == 384 and adds == []
+    assert g == f and str(g) == text
+
+
 def test_rename_simultaneous():
     # simultaneous, not sequential: swapping variables
     g = parse("x1 + 2*x2 + x1^3*t1")

@@ -140,12 +140,62 @@ def test_contains_weight_one_target_always():
 
 def test_contains_empty_target_warns_vacuous():
     p = make_sprime([INF], [1], [])
-    with warnings.catch_warnings(record=True) as log:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # make_sprime warns of the empty locus
         q = make_sprime([INF, INF], [1, 1], [parse("t1-t2")])
-        res = contains(p, q)
-    assert res.contains
-    assert any("vacuous" in str(w.message) for w in log)
+    for _ in range(2):  # the memo of the generator scan does not swallow it
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            res = contains(p, q)
+        assert res.contains
+        assert any("vacuous" in str(w.message) for w in log)
+
+
+# the first containment of seed 1 of the contain_cli benchmark that a
+# budget of 5 pair reductions refuses
+S17 = ([INF, INF, 1], [2, 1, 1], ["t1 - 2", "t2 + 1", "t3 + 2"])
+CIRCLE11 = ([INF, INF], [1, 1], ["t1^2+t2^2-1"])
+
+
+def _prime(parts, weights, gens):
+    return make_sprime(parts, weights, [parse(g) for g in gens])
+
+
+@pytest.mark.parametrize("p_data,q_data,separator", [
+    (S17, CIRCLE11, "t1 + t2 - 1"), (CIRCLE11, CIRCLE11, None)])
+def test_a_repeated_containment_makes_no_division(monkeypatch, p_data, q_data, separator):
+    theta_module = importlib.import_module("symprime.theta")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return radical_member(*args)
+    monkeypatch.setattr(theta_module, "radical_member", counted)
+    theta_module._separator.cache_clear()
+    q = _prime(*q_data)
+    first = contains(_prime(*p_data), q)
+    assert calls
+    assert (first.contains, first.separator) == (separator is None, separator and parse(separator))
+    calls.clear()
+    again = contains(_prime(*p_data), q)  # an equal prime, loaded again
+    assert calls == []
+    assert (again.contains, again.separator) == (first.contains, first.separator)
+
+
+def test_a_budget_error_of_the_generator_scan_is_not_stored():
+    theta_module = importlib.import_module("symprime.theta")
+    p, q = _prime(*S17), _prime(*CIRCLE11)
+    th = theta(p, q.shape)
+    sat_q = _saturated(q.z_ideal, q.shape.r)
+    assert th.ideal.gens and not contains(p, q).contains
+    before = theta_module._separator.cache_info().currsize
+    for _ in range(2):  # raised again by the next call
+        with pytest.raises(BudgetExceededError):
+            theta_module._separator(th.ideal, sat_q, Budget(max_reductions=1))
+    assert theta_module._separator.cache_info().currsize == before
+    # the small budget still fails after the default one has succeeded
+    with pytest.raises(BudgetExceededError):
+        contains(p, q, Budget(max_reductions=5))
 
 
 def test_equal_examples():
