@@ -118,19 +118,6 @@ class Ideal:
         return "Ideal(%s)" % ", ".join(str(g) for g in self.gens)
 
 
-def spoly(f, g, order):
-    """S-polynomial of f and g with respect to order, read in its layout."""
-    if f.is_zero() or g.is_zero():
-        raise ValueError("zero polynomial has no leading term")
-    field = f.field
-    layout, packed = _pack_all([f, g], order, max(f.degree(), g.degree()))
-    (mf, cf), (mg, cg) = [max(terms) for terms, _ in packed]
-    lcm = layout.lcm(mf, mg)
-    a = Poly(field, {layout.unpack(lcm - mf): field.inv(cf)})
-    b = Poly(field, {layout.unpack(lcm - mg): field.inv(cg)})
-    return f * a - g * b
-
-
 def normal_form(f, basis, order, budget=None):
     """Remainder of f on division by the (preferably reduced) basis."""
     basis = [g for g in basis if not g.is_zero()]

@@ -205,38 +205,12 @@ def mono_degree(m):
     return sum(k for _, k in m)
 
 
-def mono_divides(m1, m2):
-    d2 = dict(m2)
-    return all(d2.get(v, 0) >= k for v, k in m1)
-
-
 def mono_div(m1, m2):
     """Quotient m1 / m2; requires divisibility."""
     d = dict(m1)
     for v, k in m2:
         d[v] -= k
     return tuple(sorted(((v, k) for v, k in d.items() if k), key=lambda it: var_key(it[0])))
-
-
-def mono_lcm(m1, m2):
-    d = dict(m1)
-    for v, k in m2:
-        d[v] = max(d.get(v, 0), k)
-    return tuple(sorted(d.items(), key=lambda it: var_key(it[0])))
-
-
-def canonical_key(m):
-    """Sort key of the canonical order: graded reverse lexicographic with
-    significance x1 > x2 > ... > t1 > ... > e1 > ... > z1.
-
-    Restricted to any set of variables grevlex is the same order, so the key
-    needs no ambient variable list and reads the sparse monomial directly.
-    """
-    degree, tail = 0, []
-    for (f, i), k in reversed(m):
-        degree += k
-        tail.append((-_RANK[f], -i, -k))
-    return (degree, tail)
 
 
 # ---------------------------------------------------------------------------

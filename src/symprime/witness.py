@@ -160,14 +160,15 @@ def witness_and_layout(p, q_shape, q_point=None, budget=None):
     configuration space, with distinct coordinates, outside the degeneration
     closure of p's locus; the locus factor of each good pair is built from
     the first projected-ideal generator not vanishing at the pulled-back
-    point.
+    point.  A given q_point must be such a point of the target space either
+    way.
     """
     gps = good_pairs(q_shape, p.shape)
     picks = {}
-    if gps:
-        if q_point is None:
-            raise NoWitnessError("a rational target point outside the degeneration "
-                                 "closure is required when good pairs exist")
+    if gps and q_point is None:
+        raise NoWitnessError("a rational target point outside the degeneration "
+                             "closure is required when good pairs exist")
+    if q_point is not None:  # a given point is checked even if no pair reads it
         try:
             point = tuple(Fraction(c) for c in q_point)
         except ValueError as exc:

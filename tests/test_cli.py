@@ -21,8 +21,11 @@ def problem_files(tmp_path):
     circle = tmp_path / "circle.json"
     circle.write_text(json.dumps({"lambda": ["inf", "inf"], "e": [2, 2],
                                   "Z": ["t1^2+t2^2-1"]}))
-    return {"line": str(line), "origin2": str(origin2),
-            "origin3": str(origin3), "circle": str(circle)}
+    # no locus, and no good pair with a one-part target of weight above 1
+    free1 = tmp_path / "free1.json"
+    free1.write_text(json.dumps({"lambda": ["inf"], "e": [1], "Z": []}))
+    return {"line": str(line), "origin2": str(origin2), "origin3": str(origin3),
+            "circle": str(circle), "free1": str(free1)}
 
 
 def run(capsys, *argv):
@@ -212,6 +215,10 @@ INPUT_ERRORS = [
      "target point must have pairwise distinct coordinates"),
     (["witness", "{circle}", "--lambda", "inf,inf", "--e", "1,1", "--point", "1/0"],
      "point coordinates need nonzero denominators"),
+    (["witness", "{free1}", "--lambda", "inf", "--e", "3", "--point", "abc"],
+     "Invalid literal for Fraction: 'abc'"),
+    (["witness", "{free1}", "--lambda", "inf", "--e", "3", "--point", "1,2,3"],
+     "point has 3 coordinates, target has 1 parts"),
     (["contract-verify", "-n", "0", "-q", "2"], "window size must be at least 1"),
     (["contract-verify", "-n", "2", "-q", "2,x"], "invalid literal for int() with base 10: 'x'"),
     (["contract-verify", "-n", "2", "-q", "2,3", "--char", "2"],

@@ -124,6 +124,20 @@ def test_build_h_rejects_bad_points(circle22):
         build_h(p, shape([INF, INF], [1, 1]), q_point=["1", "1"])
 
 
+def test_build_h_rejects_bad_points_without_good_pairs():
+    # a given point is checked as when good pairs exist, though none reads it
+    p = make_sprime([INF], [1], [])
+    target = shape([INF], [3])
+    assert not good_pairs(target, p.shape)
+    for point, message in ((["abc"], "Invalid literal for Fraction: 'abc'"),
+                           (["1", "2", "3"], "point has 3 coordinates, target has 1 parts"),
+                           (["1/0"], "point coordinates need nonzero denominators")):
+        with pytest.raises(ValueError) as err:
+            build_h(p, target, q_point=point)
+        assert str(err.value) == message
+    assert build_h(p, target, q_point=["5"]) == build_h(p, target)
+
+
 def test_build_h_point_inside_closure_raises():
     p = make_sprime([INF, INF], [1, 1], [parse("t1+t2")])
     with pytest.raises(NoWitnessError):
