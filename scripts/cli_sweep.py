@@ -100,7 +100,8 @@ PSI0 = (("inf", "3"), ("inf,inf", "2,2"), ("inf,inf,1", "2,1,1"))
 RADICALS = (("diag1", "diag2"), ("allzero1", "line0", "circle22"),
             ("free22", "fin31", "q3pts"))
 CONTRACTS = (("2", "2,2", "0"), ("3", "2,2,2", "0"), ("3", "3,3,3", "2"),
-             ("4", "2,2,2,2", "0"), ("2", "3,3", "3"), ("1", "2", "0"))
+             ("4", "2,2,2,2", "0"), ("2", "3,3", "3"), ("1", "2", "0"),
+             ("4", "4,4,4,4", "0"), ("5", "3,3,3,3,3", "0"))
 # (module, function) of the process-wide memos keyed by value
 MEMOS = (("theta", "theta"), ("theta", "_separator"), ("sprime", "_saturated"),
          ("cli", "_prime_of_text"), ("combinat", "psi0"))

@@ -1,6 +1,7 @@
 """Timing of the generator path: `full_gens` and the print of its
 generators, the `witness` and `psi0` commands of perfbench's contain_cli
-stream, and loading the sum primes of 6, 7 and 8 parts.
+stream, loading the sum primes of 6, 7 and 8 parts, and two contraction
+checks.
 
     python3 scripts/gens_timing.py
     python3 scripts/gens_timing.py --repeats 5 --seed 1
@@ -19,6 +20,9 @@ empty library caches, as a one-shot `symprime gens` does.
 - `make_sprime` of the prime with r parts of weight 1 and Z = (t1 + ... +
   tr - 1), r = 6, 7, 8, each after a fresh import, as for `full_gens`; the
   hash is over the saturated basis.
+- `verify_contract(4, (4, 4, 4, 4))` and `verify_contract(5, (3,) * 5)`,
+  each after a fresh import; the hash is over the printed basis of the
+  contraction.
 
 Per line it prints the least and median time over --repeats runs, every
 run, and a sha256 of the outputs (the printed generators; the exit codes
@@ -44,6 +48,7 @@ from workloads import common  # noqa: E402
 PRIMES = ("fin31", "q3pts", "circle22", "free22", "mixed21")
 KINDS = ("witness", "psi0")
 SUM_PARTS = (6, 7, 8)
+CONTRACTS = ((4, (4, 4, 4, 4)), (5, (3,) * 5))
 
 
 def time_gens(name, repeats):
@@ -90,6 +95,20 @@ def time_sum_load(r, repeats):
     return times, digests
 
 
+def time_contract(n, q, repeats):
+    times, digests = [], set()
+    for _ in range(repeats):
+        sym = harness.load_symprime()
+        t0 = time.perf_counter()
+        verified, actual = sym.verify_contract(n, q)
+        times.append(time.perf_counter() - t0)
+        if not verified:
+            raise SystemExit("verify_contract(%d, %r) was not verified" % (n, q))
+        text = "\n".join(str(g) for g in actual.gens)
+        digests.add(hashlib.sha256(text.encode()).hexdigest())
+    return times, digests
+
+
 def report(label, times, digests, count, noun, unit):
     scale = {"s": 1.0, "ms": 1e3}[unit]
     runs = ", ".join("%.3f" % (t * scale) for t in times)
@@ -116,6 +135,8 @@ def main():
         report(kind, *results[kind], "commands", "ms")
     for r in SUM_PARTS:
         report("sum%d" % r, *time_sum_load(r, args.repeats), r, "parts", "s")
+    for n, q in CONTRACTS:
+        report("contract%d" % n, *time_contract(n, q, args.repeats), n, "vars", "s")
 
 
 if __name__ == "__main__":

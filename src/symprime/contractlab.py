@@ -3,13 +3,15 @@
 For a window of n variables mapped to a common base point plus jet
 directions with prescribed vanishing orders, the contraction back to the
 window ring is computed by elimination and compared with the predicted
-difference-power generators, in characteristic zero and p.
+difference-power generators, in characteristic zero and p.  The jet
+directions are substituted out first (e_i = x_i - t), so only the base
+point t is eliminated, from n generators in n + 1 variables.
 """
 
 import itertools
 
 from .groebner import Ideal, eliminate, ideal_contains, ideal_equal, ideal_member
-from .poly import InputError, Poly, QQ, evar, field_of_char, tvar, xvar
+from .poly import InputError, Poly, QQ, field_of_char, tvar, xvar
 
 
 def _check_args(n, q, char):
@@ -33,17 +35,19 @@ def _check_args(n, q, char):
 
 
 def contract_ideal(n, q, char=0, budget=None):
-    """Contraction of the jet ideal to the window ring, by elimination."""
+    """Contraction of the jet ideal to the window ring, by elimination.
+
+    The jet ideal (x_i - t - e_i, e_i^q_i) lives in C[x, t, e]; its linear
+    generators fix e_i = x_i - t, and C[x, t, e]/(x_i - t - e_i) is C[x, t]
+    by an isomorphism that fixes C[x].  So the contraction is that of
+    ((x_i - t)^q_i) in C[x, t], and eliminating t alone from these n
+    generators gives the same ideal, hence the same reduced basis."""
     q = _check_args(n, q, char)
     fld = field_of_char(char)
-    gens = []
-    for i in range(1, n + 1):
-        gens.append(Poly.variable(xvar(i), fld)
-                    - Poly.variable(tvar(1), fld) - Poly.variable(evar(i), fld))
-        gens.append(Poly.variable(evar(i), fld) ** q[i - 1])
-    I = Ideal(gens, field=fld)
-    drop = (tvar(1),) + tuple(evar(i) for i in range(1, n + 1))
-    return eliminate(I, drop, budget)
+    t = Poly.variable(tvar(1), fld)
+    I = Ideal([(Poly.variable(xvar(i), fld) - t) ** q[i - 1] for i in range(1, n + 1)],
+              field=fld)
+    return eliminate(I, (tvar(1),), budget)
 
 
 def predicted_ideal(n, q, char=0):

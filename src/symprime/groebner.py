@@ -20,6 +20,11 @@ place on a term dict: each step pops the leading term, found by `max` over
 the ints, and adds the matching multiple of the divisor's other terms.
 `_buchberger` keeps the head (lm, lc, other terms) of every basis element
 and divides S-polynomials and the final interreduction by those heads.
+For `eliminate` it keeps at the end only the heads free of the dropped
+variables, one mask test on each leading monomial, and interreduces and
+unpacks only those: in the block order no other head divides a monomial
+free of them, so the result is the same (Cox, Little and O'Shea, *Ideals,
+Varieties, and Algorithms*, ch. 3 §1).
 
 Coefficients inside the kernel are plain ints.  Over GF(p) heads are monic
 residues.  Over QQ the kernel is fraction-free: a head is a primitive
@@ -59,16 +64,17 @@ DEFAULT_BUDGET = Budget()
 class Ideal:
     """Ideal of `Poly` generators with a per-order cache of reduced bases.
 
-    Values are immutable apart from the caches (reduced bases, default
-    order, on a reduced basis its packed heads with their squarefree flag,
-    and the hash); cache writes are single idempotent assignments of a
+    Values are immutable apart from the caches (reduced bases per order,
+    elimination ideals per tuple of dropped variables, default order, on a
+    reduced basis its packed heads with their squarefree flag, and the
+    hash); cache writes are single idempotent assignments of a
     unique value, so concurrent use at worst recomputes the same value.
     Ideals share their orders and packed layouts, which are never mutated
     either.  The kernel builds its results with `_known`, which skips the
     checks of `__init__`.
     """
 
-    __slots__ = ("field", "gens", "ambient", "_gb", "_order", "_heads", "_hash")
+    __slots__ = ("field", "gens", "ambient", "_gb", "_elim", "_order", "_heads", "_hash")
 
     def __init__(self, gens, ambient=(), field=None):
         gens = tuple(g for g in gens if not g.is_zero())
@@ -95,6 +101,7 @@ class Ideal:
         self.gens = gens
         self.ambient = ambient
         self._gb = {}
+        self._elim = {}
         self._order = None
         self._heads = {}
         self._hash = None
@@ -288,7 +295,11 @@ def _update(heads, sugars, P, pairs, head, sugar, layout):
     return kept
 
 
-def _buchberger(gens, order, budget):
+def _buchberger(gens, order, budget, drop=()):
+    """Reduced basis of the generators in the order, as monic `Poly`s in
+    increasing order of leading monomial.  With `drop`, variables that
+    lead the order as a block (`eliminate`), only the basis elements free
+    of them are kept, interreduced and unpacked."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return ()
@@ -317,10 +328,13 @@ def _buchberger(gens, order, budget):
         if not r:
             continue
         P = _update(heads, sugars, P, pairs, _head(r.items(), p), sugar, layout)
-    # minimalize, then fully interreduce
+    # minimalize, then fully interreduce; in an elimination order a head
+    # holding a dropped variable divides no monomial free of them, so the
+    # heads free of them give the same answer among themselves
+    held = sum(layout.mask << shift for v, shift in layout.fields if v in drop)
     minimal = []
     for h in sorted(heads, key=lambda h: h[0]):
-        if all((h[0] - m[0]) & guard for m in minimal):
+        if not h[0] & held and all((h[0] - m[0]) & guard for m in minimal):
             minimal.append(h)
     reduced = []
     for i, head in enumerate(minimal):
@@ -455,20 +469,30 @@ def _rabinowitsch(I, f):
 
 def eliminate(I, drop, budget=None):
     """Ideal of polynomials in I avoiding the dropped variables; it arrives
-    with its reduced basis cached in its default order."""
+    with its reduced basis cached in its default order.
+
+    Its generators are the elements of I's reduced basis in the block
+    order (dropped variables first) that are free of the dropped
+    variables, which by the Elimination Theorem generate the answer.
+    `_buchberger` keeps, interreduces and unpacks only those; the others
+    are never built.  The result is cached on I per tuple of dropped
+    variables (`var_key` order)."""
     dropped = set(drop)
     drop = tuple(sorted(dropped, key=var_key))
     if not drop:
         return I
-    missing = [v for v in drop if v not in I.ambient]
-    if missing:
-        raise ValueError("cannot eliminate variables outside the ambient: %r" % missing)
-    keep = tuple(v for v in I.ambient if v not in dropped)
-    gb = groebner_basis(I, MonomialOrder.block(drop, keep), budget)
-    gens = tuple(g for g in gb.gens if not (g.variables() & dropped))
-    result = Ideal._known(gens, keep, I.field)
-    # the block order restricts to grevlex on keep (Elimination Theorem)
-    result._gb[result.default_order()] = result
+    result = I._elim.get(drop)
+    if result is None:
+        missing = [v for v in drop if v not in I.ambient]
+        if missing:
+            raise ValueError("cannot eliminate variables outside the ambient: %r" % missing)
+        keep = tuple(v for v in I.ambient if v not in dropped)
+        gens = _buchberger(list(I.gens), MonomialOrder.block(drop, keep),
+                           budget or DEFAULT_BUDGET, drop)
+        result = Ideal._known(gens, keep, I.field)
+        # the block order restricts to grevlex on keep (Elimination Theorem)
+        result._gb[result.default_order()] = result
+        I._elim[drop] = result
     return result
 
 

@@ -1,10 +1,14 @@
-"""Tuple-monomial references for the packed kernel.
+"""Plain references for the kernel and the contraction check.
 
 The library reads leading terms, lcms and divisibility off packed ints; the
 tests check it against these plain constructions on sparse monomial tuples.
+It eliminates by building only the basis elements it returns, and contracts
+jet ideals after substituting the jet directions out; the tests check both
+against the whole block-order basis of the unsubstituted ideal.
 """
 
-from symprime.poly import Poly, mono_div, var_key
+from symprime.groebner import Ideal, MonomialOrder, groebner_basis
+from symprime.poly import Poly, evar, field_of_char, mono_div, tvar, var_key, xvar
 
 
 def exponent_vector_key(ambient):
@@ -41,3 +45,29 @@ def reference_spoly(f, g, order):
     a = Poly(field, {mono_div(lcm, mf): field.inv(cf)})
     b = Poly(field, {mono_div(lcm, mg): field.inv(cg)})
     return f * a - g * b
+
+
+def reference_eliminate(I, drop):
+    """The elements of I's whole reduced basis in the block order (drop
+    first) that are free of the dropped variables, as an Ideal over the
+    kept variables, computed on a fresh copy of I."""
+    dropped = set(drop)
+    keep = tuple(v for v in I.ambient if v not in dropped)
+    fresh = Ideal(I.gens, ambient=I.ambient, field=I.field)
+    gb = groebner_basis(fresh, MonomialOrder.block(tuple(dropped), keep))
+    return Ideal([g for g in gb.gens if not g.variables() & dropped],
+                 ambient=keep, field=I.field)
+
+
+def reference_contract_ideal(n, q, char=0):
+    """The contraction of the jet ideal (x_i - t1 - e_i, e_i^q_i) to the
+    window ring, eliminating t1 and every e_i: 2n generators in 2n + 1
+    variables."""
+    fld = field_of_char(char)
+    gens = []
+    for i in range(1, n + 1):
+        gens.append(Poly.variable(xvar(i), fld)
+                    - Poly.variable(tvar(1), fld) - Poly.variable(evar(i), fld))
+        gens.append(Poly.variable(evar(i), fld) ** q[i - 1])
+    drop = (tvar(1),) + tuple(evar(i) for i in range(1, n + 1))
+    return reference_eliminate(Ideal(gens, field=fld), drop)

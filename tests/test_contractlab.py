@@ -1,5 +1,6 @@
 """Contraction checks in characteristic zero and two."""
 
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,8 @@ from symprime.contractlab import (contract_ideal, derivative_member,
                                   verify_contract)
 from symprime.groebner import Ideal, groebner_basis, ideal_equal, normal_form
 from symprime.poly import GF, Poly, parse, xvar
+
+from reference import reference_contract_ideal
 
 
 def test_contract_ideal_examples():
@@ -50,6 +53,22 @@ def test_char_p_requires_uniform_power():
                                  (3, (1, 2, 2)), (3, (2, 2, 2))])
 def test_easy_direction_inclusion(n, q):
     assert predicted_contained(n, q, 0)
+
+
+@pytest.mark.parametrize("char", [0, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_contract_ideal_matches_the_elimination_of_every_jet_variable(n, char):
+    # eliminating t alone after e_i = x_i - t gives the basis that
+    # eliminating t and every e_i from the jet ideal gives, for every
+    # order up to 4 (uniform powers of the characteristic in char p)
+    if char:
+        qs = [(k,) * n for k in (1, char, char * char) if k <= 4]
+    else:
+        qs = itertools.product(range(1, 5), repeat=n)
+    for q in qs:
+        got, want = contract_ideal(n, q, char), reference_contract_ideal(n, q, char)
+        assert got.gens == want.gens and got.ambient == want.ambient, q
+        assert str(got) == str(want)
 
 
 def test_verify_contract_reuses_the_elimination_basis(buchberger_calls):

@@ -15,7 +15,7 @@ from symprime.groebner import (DEFAULT_BUDGET, Budget, BudgetExceededError,
 from symprime.poly import (GF, PackedLayout, Poly, QQ, Rationals, _order, evar,
                            mono_degree, mono_div, parse, tvar, xvar, zvar)
 
-from reference import mono_divides, reference_spoly
+from reference import mono_divides, reference_eliminate, reference_spoly
 
 
 def gb_strs(I, order=None):
@@ -327,6 +327,67 @@ def test_cached_result_basis_matches_a_fresh_one(seed, field):
         fresh = groebner_basis(Ideal(R.gens, ambient=R.ambient, field=R.field))
         assert groebner_basis(R).gens == fresh.gens
         assert str(groebner_basis(R)) == str(fresh)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+@pytest.mark.parametrize("seed", range(40))
+def test_elimination_is_the_drop_free_part_of_the_block_basis(seed, field):
+    # eliminate builds only the basis elements it returns; they must be the
+    # drop-free elements of the whole block-order basis, in the same order
+    rng = random.Random(3500 + seed)
+    I = _random_ideal(rng, field=field)
+    J = _random_ideal(rng, ngens=2, maxdeg=1, field=field)
+    z = Poly.variable(zvar(1), field)
+    one = Poly.const(1, field)
+    pairs = [(eliminate(I, [tvar(3)]), reference_eliminate(I, [tvar(3)])),
+             (eliminate(I, [tvar(1), tvar(3)]), reference_eliminate(I, [tvar(1), tvar(3)])),
+             (ideal_intersect(I, J),
+              reference_eliminate(Ideal([z * g for g in I.gens] + [(one - z) * h for h in J.gens],
+                                        ambient=I.ambient + (zvar(1),), field=field),
+                                  [zvar(1)]))]
+    for f in _random_ideal(rng, ngens=1, field=field).gens:
+        if not f.is_constant():
+            rabinowitsch = Ideal(I.gens + (one - z * f,), ambient=I.ambient + (zvar(1),),
+                                 field=field)
+            pairs.append((saturate(I, f), reference_eliminate(rabinowitsch, [zvar(1)])))
+    for got, want in pairs:
+        assert got.gens == want.gens and got.ambient == want.ambient
+        assert str(got) == str(want)
+
+
+def test_eliminate_unpacks_no_monomial_holding_a_dropped_variable(monkeypatch):
+    # the block basis of each ideal holds elements with the dropped
+    # variables (t2 - t1, x1 - t1 - e1, ...); none of them is unpacked
+    cases = [(Ideal([parse("t1^2+t2^2-1"), parse("t1-t2")]), [tvar(2)]),
+             (Ideal([parse("x1 - t1 - e1"), parse("x2 - t1 - e2"), parse("e1^2"),
+                     parse("e2^2")]), [tvar(1), evar(1), evar(2)])]
+    rng = random.Random(35)
+    for _ in range(10):
+        I = _random_ideal(rng, field=GF(32003))
+        cases.append((I, [tvar(1)]))
+    unpacked = []
+    real = PackedLayout.unpack
+
+    def recorded(self, p):
+        mono = real(self, p)
+        unpacked.append(mono)
+        return mono
+    monkeypatch.setattr(PackedLayout, "unpack", recorded)
+    for I, drop in cases:
+        del unpacked[:]
+        E = eliminate(I, drop)
+        assert not any(v in drop for mono in unpacked for v, _ in mono)
+        assert len(unpacked) == sum(len(g.terms) for g in E.gens)
+
+
+def test_eliminate_caches_per_dropped_tuple(buchberger_calls):
+    I = Ideal([parse("t1^2+t2^2+t3-1"), parse("t1*t2-t3")])
+    first = eliminate(I, [tvar(3), tvar(2)])
+    assert eliminate(I, (tvar(2), tvar(3))) is first
+    assert eliminate(I, [tvar(3)]) is not first
+    assert len(buchberger_calls) == 2
+    # the block-order basis is not left in the per-order cache
+    assert not I._gb
 
 
 @pytest.mark.parametrize("seed", range(100))
